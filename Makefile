@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 tier1-faults tier1-api tier1-obs build test short race vet cover bench bench-api bench-mem bench-smoke bench-scaling bench-cache
+.PHONY: all tier1 tier1-faults tier1-api tier1-obs build test short race vet cover bench bench-api bench-mem bench-smoke bench-scaling bench-cache bench-traffic-selftest
 
 all: tier1 race vet
 
@@ -105,6 +105,14 @@ bench-smoke:
 bench-scaling:
 	$(GO) test -run xxx -bench 'SubmitDistinct|SubmitCached|SubmitAll' -cpu 1,4,16 -benchmem ./internal/exec/
 	$(GO) run ./cmd/simbench -fleet-grid -out BENCH_sim.json -gate-scaling reports/bench_baseline.json
+
+# bench-traffic-selftest runs the traffic benchmark's own tests. The
+# benchmark (trafficbench/, see BENCHMARK.json) is a module of its own,
+# so `go test ./...` here skips it. Its tests run every workload at a
+# reduced size as a separate process and check the reported metrics,
+# the committed digests and the failure paths.
+bench-traffic-selftest:
+	cd trafficbench && $(GO) test ./...
 
 cover:
 	$(GO) test -coverprofile=cover.out $(COVER_PKGS)

@@ -82,7 +82,7 @@ func ExecObserver(fn func(ExecutorEvent)) ExecutorOption { return exec.WithObser
 func ExecShards(n int) ExecutorOption { return exec.WithShards(n) }
 
 // ExecDiskCache adds a persistent second cache tier under dir: completed
-// runs are appended to content-addressed JSONL segments and reloaded by
+// runs are appended to content-addressed binary segments and reloaded by
 // later processes, so a warmed directory turns whole campaigns into disk
 // reads. Entries are stamped with the simulator's physics version
 // (sim.PhysicsVersion) and silently invalidated when it changes; runs
@@ -119,7 +119,9 @@ func SharedExecutor() *Executor {
 // runPayload carries the materialised inputs of one executor key. The
 // sideband fields are written only by fresh submissions (each of which
 // owns its payload), never by the memoised path, so payload sharing
-// across a Summary fan-out is race-free.
+// across a Summary fan-out is race-free: runKey's payload carries no
+// sideband, and a batch shares it across all run indices of one
+// configuration.
 type runPayload struct {
 	session Session
 	app     App
@@ -180,21 +182,25 @@ func (s Session) fingerprint() string {
 	return hash64(fmt.Sprintf("%+v", s))
 }
 
-// execKey builds the content-addressed executor key of one run.
-func (s Session) execKey(app App, gov Governor, idx int, traced, keep bool) exec.Key {
+// runKey is the one addressing path of every run this package submits
+// or names: the content-addressed executor key of run idx of (app, gov)
+// under s. sessionFP must be s.fingerprint(). Rendering fingerprints is
+// the expensive part of addressing, so a batch renders sessionFP once
+// for all its keys, builds one key per configuration and copies it
+// across the configuration's run indices, sharing its payload.
+func (s Session) runKey(sessionFP string, app App, gov Governor, idx int) exec.Key {
 	return exec.Key{
 		App:      appFingerprint(app),
 		Governor: gov.ID(),
-		Session:  s.fingerprint(),
+		Session:  sessionFP,
 		Idx:      idx,
-		Payload: &runPayload{
-			session: s,
-			app:     app,
-			mk:      gov.Func(),
-			traced:  traced,
-			keep:    keep,
-		},
+		Payload:  &runPayload{session: s, app: app, mk: gov.Func()},
 	}
+}
+
+// specKey is runKey for one RunSpec.
+func (s Session) specKey(spec RunSpec) exec.Key {
+	return s.runKey(s.fingerprint(), spec.App, spec.Governor, spec.Idx)
 }
 
 // RunID returns the stable identifier of the run spec under this
@@ -204,7 +210,7 @@ func (s Session) execKey(app App, gov Governor, idx int, traced, keep bool) exec
 // after a restart — two processes with the same session and spec compute
 // the same ID.
 func (s Session) RunID(spec RunSpec) string {
-	return exec.RunID(s.execKey(spec.App, spec.Governor, spec.Idx, false, false).ID())
+	return exec.RunID(s.specKey(spec).ID())
 }
 
 // executor returns the scheduler this session's runs submit to.

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"dufp"
+	"dufp/internal/exec"
 )
 
 // fastApp builds a short synthetic application so executor tests stay
@@ -280,18 +283,77 @@ func TestDiskCachedRunBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRunIDGolden pins the content address of one default-session run.
+// Disk caches and daemon journals are keyed by these bytes: a change to
+// any fingerprint (session, application, governor or the ID hash)
+// silently orphans every cache and journal already written, so it must
+// fail here first.
+func TestRunIDGolden(t *testing.T) {
+	app, err := dufp.AppNamed("CG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := dufp.RunSpec{App: app, Governor: dufp.DUFP(dufp.DefaultControlConfig(0.10)), Idx: 3}
+	const want = "3dbed243192515ac"
+	if got := dufp.NewSession().RunID(spec); got != want {
+		t.Fatalf("RunID = %s, want %s: the content address changed", got, want)
+	}
+}
+
 func TestSummarizeAllMatchesSummarizeCtx(t *testing.T) {
 	app := fastApp(t)
+	// A twin shares the application's name but not its phase program, so
+	// it must not share its address either.
+	twin := app
+	twin.Loops = slices.Clone(app.Loops)
+	twin.Loops[0].Count++
 	ctx := context.Background()
-	session := dufp.NewSession(dufp.WithExecutor(dufp.NewExecutor()))
+	var mu sync.Mutex
+	var started []dufp.RunKey
+	session := dufp.NewSession(dufp.WithExecutor(dufp.NewExecutor(dufp.ExecObserver(func(ev dufp.ExecutorEvent) {
+		if ev.Kind == dufp.ExecStarted {
+			mu.Lock()
+			started = append(started, ev.Key)
+			mu.Unlock()
+		}
+	}))))
 
+	const n = 3
 	reqs := []dufp.SummaryRequest{
 		{App: app, Governor: dufp.Baseline()},
 		{App: app, Governor: dufp.DUFP(dufp.DefaultControlConfig(0.10))},
+		{App: twin, Governor: dufp.DUFP(dufp.DefaultControlConfig(0.10))},
 	}
-	outcomes := session.SummarizeAll(ctx, reqs, 3)
+	outcomes := session.SummarizeAll(ctx, reqs, n)
 	if len(outcomes) != len(reqs) {
 		t.Fatalf("got %d outcomes, want %d", len(outcomes), len(reqs))
+	}
+
+	// The batch addresses each configuration once; every key it
+	// submitted must still carry the address RunID gives its spec.
+	want := map[string]bool{}
+	for _, req := range reqs {
+		for i := 0; i < n; i++ {
+			want[session.RunID(dufp.RunSpec{App: req.App, Governor: req.Governor, Idx: i})] = true
+		}
+	}
+	if len(want) != len(reqs)*n {
+		t.Fatalf("%d distinct RunIDs for %d specs", len(want), len(reqs)*n)
+	}
+	mu.Lock()
+	if len(started) != len(want) {
+		t.Errorf("batch started %d runs, want %d", len(started), len(want))
+	}
+	for _, key := range started {
+		id := exec.RunID(key.ID())
+		if !want[id] {
+			t.Errorf("batch key %v has RunID %s, which no other spec of the batch has", key, id)
+		}
+		delete(want, id)
+	}
+	mu.Unlock()
+	if len(want) != 0 {
+		t.Errorf("no batch key carries RunIDs %v", want)
 	}
 	for i, o := range outcomes {
 		if o.Err != nil {

@@ -197,18 +197,18 @@ func New(cfg Config) (*Daemon, error) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	d := &Daemon{
-		cfg:     cfg,
-		session: cfg.Session.OnExecutor(exe),
-		exe:     exe,
-		reg:     reg,
-		logf:    logf,
+		cfg:      cfg,
+		session:  cfg.Session.OnExecutor(exe),
+		exe:      exe,
+		reg:      reg,
+		logf:     logf,
 		start:    time.Now(),
 		queue:    make(chan *job, depth),
 		nworkers: workers,
-		ctx:     ctx,
-		cancel:  cancel,
-		jobs:    make(map[string]*job),
-		camps:   make(map[string]*campaign),
+		ctx:      ctx,
+		cancel:   cancel,
+		jobs:     make(map[string]*job),
+		camps:    make(map[string]*campaign),
 
 		mQueueDepth: reg.Gauge("api_queue_depth",
 			"Jobs waiting in the daemon's bounded queue.").With(),
@@ -389,15 +389,11 @@ func (d *Daemon) dispatch() {
 // setRunning transitions a queued job and notifies its subscribers.
 func (d *Daemon) setRunning(j *job) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	j.state = StateRunning
 	status := d.runStatusLocked(j)
-	subs := subsSnapshot(j.subs)
-	d.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- status:
-		default:
-		}
+	for ch := range j.subs {
+		notifyLocked(ch, status, false)
 	}
 }
 
@@ -406,21 +402,19 @@ func (d *Daemon) setRunning(j *job) {
 // finish their streams.
 func (d *Daemon) complete(j *job, run dufp.Run, err error) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if err != nil {
 		j.state, j.err = StateFailed, err.Error()
 	} else {
 		j.state, j.run = StateDone, run
 	}
+	d.mJobs.With(j.state).Inc()
 	status := d.runStatusLocked(j)
-	subs := subsSnapshot(j.subs)
+	for ch := range j.subs {
+		notifyLocked(ch, status, true)
+	}
 	j.subs = nil
 
-	type campNotify struct {
-		status CampaignStatus
-		subs   []chan CampaignStatus
-		ended  bool
-	}
-	var notifies []campNotify
 	for _, c := range j.camps {
 		if err != nil {
 			c.failed++
@@ -430,47 +424,33 @@ func (d *Daemon) complete(j *job, run dufp.Run, err error) {
 		} else {
 			c.done++
 		}
-		n := campNotify{subs: subsSnapshot(c.subs), ended: terminal(c.state())}
-		if n.ended {
+		ended := terminal(c.state())
+		if ended {
 			d.summarizeLocked(c)
+		}
+		status := d.campaignStatusLocked(c, false)
+		for ch := range c.subs {
+			notifyLocked(ch, status, ended)
+		}
+		if ended {
 			c.subs = nil
-		}
-		n.status = d.campaignStatusLocked(c, false)
-		notifies = append(notifies, n)
-	}
-	d.mu.Unlock()
-
-	d.mJobs.With(j.state).Inc()
-	for _, ch := range subs {
-		select {
-		case ch <- status:
-		default:
-		}
-		close(ch)
-	}
-	for _, n := range notifies {
-		for _, ch := range n.subs {
-			select {
-			case ch <- n.status:
-			default:
-			}
-			if n.ended {
-				close(ch)
-			}
 		}
 	}
 }
 
-// subsSnapshot copies a subscriber set for notification outside the lock.
-func subsSnapshot[T any](set map[chan T]struct{}) []chan T {
-	if len(set) == 0 {
-		return nil
+// notifyLocked offers one snapshot to a subscriber without blocking — a
+// subscriber whose buffer is full misses it — and closes the channel
+// after the last one. Caller holds d.mu: a subscription's cancel and the
+// final snapshot of another job of the same campaign close channels
+// under it, so a send outside it could hit a closed channel.
+func notifyLocked[T any](ch chan T, v T, last bool) {
+	select {
+	case ch <- v:
+	default:
 	}
-	out := make([]chan T, 0, len(set))
-	for ch := range set {
-		out = append(out, ch)
+	if last {
+		close(ch)
 	}
-	return out
 }
 
 // SubmitRun accepts one run for execution and returns its status.
@@ -485,13 +465,15 @@ func (d *Daemon) SubmitRun(spec dufp.RunSpec) (RunStatus, error) {
 	if err := spec.App.Validate(); err != nil {
 		return RunStatus{}, err
 	}
+	// Addressing renders fingerprints; keep it outside d.mu.
+	id := d.session.RunID(spec)
 	d.mu.Lock()
 	if d.draining {
 		d.mu.Unlock()
 		d.mRejected.With("draining").Inc()
 		return RunStatus{}, ErrDraining
 	}
-	j, status, fresh := d.trackLocked(d.session, spec)
+	j, status, fresh := d.trackLocked(id, d.session, spec)
 	d.mu.Unlock()
 	if !fresh || terminal(status.State) {
 		return status, nil
@@ -509,11 +491,10 @@ func (d *Daemon) SubmitRun(spec dufp.RunSpec) (RunStatus, error) {
 	}
 }
 
-// trackLocked registers (or finds) the job for a spec. Fresh jobs whose
-// result is already on disk are completed in place — the restart resume
-// path. Caller holds d.mu.
-func (d *Daemon) trackLocked(session dufp.Session, spec dufp.RunSpec) (*job, RunStatus, bool) {
-	id := session.RunID(spec)
+// trackLocked registers (or finds) the job for a spec whose RunID under
+// session is id. Fresh jobs whose result is already on disk are
+// completed in place — the restart resume path. Caller holds d.mu.
+func (d *Daemon) trackLocked(id string, session dufp.Session, spec dufp.RunSpec) (*job, RunStatus, bool) {
 	if j, ok := d.jobs[id]; ok {
 		return j, d.runStatusLocked(j), false
 	}
@@ -553,22 +534,31 @@ func (d *Daemon) submitCampaign(spec CampaignSpec, journal bool) (CampaignStatus
 	if err != nil {
 		return CampaignStatus{}, err
 	}
+	// A draining daemon or a known campaign answers without addressing
+	// the runs.
+	d.mu.Lock()
+	status, answered, err := d.answerCampaignLocked(id)
+	d.mu.Unlock()
+	if answered {
+		return status, err
+	}
+	// Address the member runs before taking d.mu: a Fig-3 grid is 900
+	// RunIDs, and status reads and submits must not wait behind them.
+	ids := make([]string, len(jobSpecs))
+	for i, js := range jobSpecs {
+		ids[i] = js.session.RunID(js.spec)
+	}
 
 	d.mu.Lock()
-	if d.draining {
+	// Either may have changed while the lock was released.
+	if status, answered, err := d.answerCampaignLocked(id); answered {
 		d.mu.Unlock()
-		d.mRejected.With("draining").Inc()
-		return CampaignStatus{}, ErrDraining
-	}
-	if c, ok := d.camps[id]; ok {
-		status := d.campaignStatusLocked(c, false)
-		d.mu.Unlock()
-		return status, nil
+		return status, err
 	}
 	c := &campaign{id: id, spec: norm}
 	var pending []*job
-	for _, js := range jobSpecs {
-		j, _, fresh := d.trackLocked(js.session, js.spec)
+	for i, js := range jobSpecs {
+		j, _, fresh := d.trackLocked(ids[i], js.session, js.spec)
 		c.jobs = append(c.jobs, j)
 		c.groups = append(c.groups, js.group)
 		j.camps = append(j.camps, c)
@@ -588,7 +578,7 @@ func (d *Daemon) submitCampaign(spec CampaignSpec, journal bool) (CampaignStatus
 		d.summarizeLocked(c)
 	}
 	d.camps[id] = c
-	status := d.campaignStatusLocked(c, false)
+	status = d.campaignStatusLocked(c, false)
 	d.mu.Unlock()
 	d.mCampaigns.Inc()
 
@@ -606,6 +596,21 @@ func (d *Daemon) submitCampaign(spec CampaignSpec, journal bool) (CampaignStatus
 	d.logf("api: campaign %s accepted: %d runs (%d already complete)",
 		id, len(c.jobs), c.done+c.failed)
 	return status, nil
+}
+
+// answerCampaignLocked answers a campaign submission that needs no new
+// work: a draining daemon rejects it, and an accepted campaign returns
+// its status, which makes submission idempotent. answered is false when
+// the campaign must be expanded and tracked. Caller holds d.mu.
+func (d *Daemon) answerCampaignLocked(id string) (status CampaignStatus, answered bool, err error) {
+	if d.draining {
+		d.mRejected.With("draining").Inc()
+		return CampaignStatus{}, true, ErrDraining
+	}
+	if c, ok := d.camps[id]; ok {
+		return d.campaignStatusLocked(c, false), true, nil
+	}
+	return CampaignStatus{}, false, nil
 }
 
 // feed enqueues a campaign's fresh jobs, blocking on queue capacity —

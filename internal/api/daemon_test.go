@@ -3,7 +3,7 @@ package api
 import (
 	"context"
 	"errors"
-
+	"sync"
 	"testing"
 	"time"
 
@@ -240,6 +240,52 @@ func TestCampaignGridSummariesMatchDirect(t *testing.T) {
 		if !ok || rs.State != StateDone {
 			t.Fatalf("member %s = %+v", id, rs)
 		}
+	}
+}
+
+// TestCampaignSubscriptionChurn subscribes to a running campaign and
+// cancels from several goroutines while its runs complete. Every
+// snapshot a completing run sends races these cancels and the final
+// snapshot's close; a send made outside the daemon's lock can hit a
+// closed channel (a panic) and shows under the race detector.
+func TestCampaignSubscriptionChurn(t *testing.T) {
+	d, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	status, err := d.SubmitCampaign(CampaignSpec{
+		V:          dufp.WireVersion,
+		Kind:       KindGrid,
+		Apps:       []string{"EP"},
+		Tolerances: []float64{0.10},
+		Runs:       3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				ch, cancel, ok := d.SubscribeCampaign(status.ID)
+				if !ok {
+					t.Error("campaign unknown")
+					return
+				}
+				s := <-ch // every subscription starts with a snapshot
+				cancel()
+				if terminal(s.State) {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if final, _ := d.CampaignStatus(status.ID); final.State != StateDone || final.Done != 9 {
+		t.Fatalf("final = %+v", final)
 	}
 }
 

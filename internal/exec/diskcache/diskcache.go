@@ -79,11 +79,9 @@ type Key struct {
 	Idx                    int
 }
 
-// RunID returns the key's stable 16-hex-digit identifier: the FNV-1a
-// fingerprint of all identity fields. It is what the Run API exposes as
-// a run ID, so a result persisted by one daemon can be looked up by ID
-// in another process holding the same cache directory.
-func RunID(k Key) string {
+// Sum returns the key's 64-bit FNV-1a fingerprint over all identity
+// fields: the number RunID spells and the ID index is keyed by.
+func Sum(k Key) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, k.App)
 	h.Write([]byte{0})
@@ -95,7 +93,36 @@ func RunID(k Key) string {
 		idx[i] = byte(k.Idx >> (8 * i))
 	}
 	h.Write(idx[:])
-	return fmt.Sprintf("%016x", h.Sum64())
+	return h.Sum64()
+}
+
+// RunID returns the key's stable identifier: Sum as 16 lower-case hex
+// digits. It is what the Run API exposes as a run ID, so a result
+// persisted by one daemon can be looked up by ID in another process
+// holding the same cache directory.
+func RunID(k Key) string { return fmt.Sprintf("%016x", Sum(k)) }
+
+// parseRunID inverts RunID. Only the spelling RunID produces parses —
+// exactly 16 lower-case hex digits — so an ID spelled any other way
+// names no record and misses.
+func parseRunID(id string) (uint64, bool) {
+	if len(id) != 16 {
+		return 0, false
+	}
+	var sum uint64
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		default:
+			return 0, false
+		}
+		sum = sum<<4 | uint64(c)
+	}
+	return sum, true
 }
 
 // record is one queued write: the run and its content address. The
@@ -143,7 +170,7 @@ type Cache struct {
 
 	mu      sync.RWMutex
 	mem     map[Key]metrics.Run
-	byID    map[string]Key
+	byID    map[uint64]Key // keyed by Sum
 	closed  bool
 	warning string
 
@@ -179,7 +206,7 @@ func Open(dir, version string, opts ...Option) (*Cache, error) {
 		dir:     dir,
 		version: version,
 		mem:     make(map[Key]metrics.Run),
-		byID:    make(map[string]Key),
+		byID:    make(map[uint64]Key),
 		queue:   make(chan record, 4096),
 		done:    make(chan struct{}),
 	}
@@ -280,7 +307,7 @@ func (c *Cache) loadLine(line []byte) {
 	}
 	c.loaded.Add(1)
 	c.mem[rec.Key] = rec.Run
-	c.byID[RunID(rec.Key)] = rec.Key
+	c.byID[Sum(rec.Key)] = rec.Key
 }
 
 // Get returns the cached run for the key, if any.
@@ -301,13 +328,16 @@ func (c *Cache) Get(key Key) (metrics.Run, bool) {
 // after a daemon restart: results persisted under an ID survive even
 // when the in-memory job registry did not.
 func (c *Cache) GetByID(id string) (Key, metrics.Run, bool) {
-	c.mu.RLock()
-	key, ok := c.byID[id]
+	var key Key
 	var run metrics.Run
+	sum, ok := parseRunID(id)
 	if ok {
-		run, ok = c.mem[key]
+		c.mu.RLock()
+		if key, ok = c.byID[sum]; ok {
+			run, ok = c.mem[key]
+		}
+		c.mu.RUnlock()
 	}
-	c.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -327,7 +357,7 @@ func (c *Cache) Put(key Key, run metrics.Run) {
 		if _, dup := c.mem[key]; !dup && c.warning != "" {
 			// Memory-only operation still serves later Gets this process.
 			c.mem[key] = run
-			c.byID[RunID(key)] = key
+			c.byID[Sum(key)] = key
 		}
 		c.mu.Unlock()
 		return
@@ -337,7 +367,7 @@ func (c *Cache) Put(key Key, run metrics.Run) {
 		return
 	}
 	c.mem[key] = run
-	c.byID[RunID(key)] = key
+	c.byID[Sum(key)] = key
 	c.mu.Unlock()
 	select {
 	case c.queue <- record{Key: key, Run: run}:

@@ -425,3 +425,100 @@ func TestGetByIDSurvivesReopen(t *testing.T) {
 		t.Fatal("bogus ID found")
 	}
 }
+
+// TestGetByIDIndex table-tests the ID index, which is keyed by the
+// 64-bit sum behind RunID: only the canonical spelling of a stored
+// record's ID finds it — from the handle that wrote it and from a fresh
+// Open of its directory — and every other spelling misses and counts as
+// a miss. A record written under another physics version is never
+// found.
+func TestGetByIDIndex(t *testing.T) {
+	key, want := testKeyAt(7), testRun(7)
+	id := RunID(key)
+	if strings.ToUpper(id) == id {
+		t.Fatalf("RunID %s has no hex letters to upper-case", id)
+	}
+	// written returns a directory holding key's record, persisted by a
+	// closed handle under version.
+	written := func(t *testing.T, version string) string {
+		dir := t.TempDir()
+		c := openOrDie(t, dir, version)
+		c.Put(key, want)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	handles := []struct {
+		name  string
+		open  func(t *testing.T) *Cache
+		holds bool  // the record is findable through this handle
+		stale int64 // Stats().Stale after Open
+	}{
+		{
+			name: "writing handle",
+			open: func(t *testing.T) *Cache {
+				c := openOrDie(t, t.TempDir(), physV)
+				c.Put(key, want)
+				return c
+			},
+			holds: true,
+		},
+		{
+			name: "after close and reopen",
+			open: func(t *testing.T) *Cache {
+				return openOrDie(t, written(t, physV), physV)
+			},
+			holds: true,
+		},
+		{
+			name: "other physics version",
+			open: func(t *testing.T) *Cache {
+				return openOrDie(t, written(t, "physics-old"), physV)
+			},
+			stale: 1,
+		},
+	}
+	ids := []struct {
+		name      string
+		id        string
+		canonical bool
+	}{
+		{name: "canonical", id: id, canonical: true},
+		{name: "upper case", id: strings.ToUpper(id)},
+		{name: "15 digits", id: id[:15]},
+		{name: "17 digits", id: id + "0"},
+		{name: "0x prefix", id: "0x" + id[2:]},
+		{name: "non-hex", id: "g" + id[1:]},
+		{name: "empty", id: ""},
+	}
+	for _, h := range handles {
+		for _, tt := range ids {
+			t.Run(h.name+"/"+tt.name, func(t *testing.T) {
+				c := h.open(t)
+				defer c.Close()
+				before := c.Stats()
+				if before.Stale != h.stale {
+					t.Fatalf("stats after open = %+v, want %d stale", before, h.stale)
+				}
+				gotKey, got, ok := c.GetByID(tt.id)
+				after := c.Stats()
+				if hit := h.holds && tt.canonical; hit {
+					if !ok || gotKey != key || got != want {
+						t.Fatalf("GetByID(%q) = %+v, %+v, %v; want the stored record", tt.id, gotKey, got, ok)
+					}
+					if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+						t.Fatalf("stats %+v -> %+v, want one hit", before, after)
+					}
+					return
+				}
+				if ok {
+					t.Fatalf("GetByID(%q) found %+v", tt.id, gotKey)
+				}
+				if after.Misses != before.Misses+1 || after.Hits != before.Hits {
+					t.Fatalf("stats %+v -> %+v, want one miss", before, after)
+				}
+			})
+		}
+	}
+}

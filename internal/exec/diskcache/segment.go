@@ -75,7 +75,7 @@ func (sc *segScanner) file(c *Cache, path string) {
 		}
 		c.loaded.Add(1)
 		c.mem[key] = run
-		c.byID[RunID(key)] = key
+		c.byID[Sum(key)] = key
 	}
 }
 

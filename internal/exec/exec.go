@@ -22,7 +22,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"strconv"
 	"sync"
@@ -69,22 +68,9 @@ func (k Key) String() string {
 	return fmt.Sprintf("%s under %s [run %d]", k.App, k.Governor, k.Idx)
 }
 
-// hash returns the shard-selection hash of the content address (FNV-1a
-// over all identity fields).
-func (id ID) hash() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(id.App))
-	h.Write([]byte{0})
-	h.Write([]byte(id.Governor))
-	h.Write([]byte{0})
-	h.Write([]byte(id.Session))
-	var idx [8]byte
-	for i := 0; i < 8; i++ {
-		idx[i] = byte(id.Idx >> (8 * i))
-	}
-	h.Write(idx[:])
-	return h.Sum64()
-}
+// hash returns the shard-selection hash of the content address: the
+// FNV-1a sum RunID spells.
+func (id ID) hash() uint64 { return diskcache.Sum(diskcache.Key(id)) }
 
 // Runner materialises one key into a completed run. It must be safe for
 // concurrent use and deterministic in the key's identity fields.

@@ -123,14 +123,21 @@ func RunGrid(opts Options) (*Grid, error) {
 		app dufp.App
 		gov dufp.Governor
 	}
+	// A governor's identity is rendered when it is built, so build each
+	// tolerance's pair once and share it across the applications.
+	type govPair struct{ duf, dufp dufp.Governor }
+	govs := make([]govPair, len(opts.Tolerances))
+	for i, tol := range opts.Tolerances {
+		cfg := dufp.DefaultControlConfig(tol)
+		govs[i] = govPair{duf: dufp.DUF(cfg), dufp: dufp.DUFP(cfg)}
+	}
 	var cells []cell
 	for _, app := range apps {
 		cells = append(cells, cell{key: CellKey{App: app.Name}, app: app, gov: dufp.Baseline()})
-		for _, tol := range opts.Tolerances {
-			cfg := dufp.DefaultControlConfig(tol)
+		for i, tol := range opts.Tolerances {
 			cells = append(cells,
-				cell{key: CellKey{App: app.Name, Tolerance: tol, Gov: GovDUF}, app: app, gov: dufp.DUF(cfg)},
-				cell{key: CellKey{App: app.Name, Tolerance: tol, Gov: GovDUFP}, app: app, gov: dufp.DUFP(cfg)})
+				cell{key: CellKey{App: app.Name, Tolerance: tol, Gov: GovDUF}, app: app, gov: govs[i].duf},
+				cell{key: CellKey{App: app.Name, Tolerance: tol, Gov: GovDUFP}, app: app, gov: govs[i].dufp})
 		}
 	}
 

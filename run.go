@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"dufp/internal/control"
+	"dufp/internal/exec"
 	"dufp/internal/fault"
 	"dufp/internal/obs/span"
 	"dufp/internal/obs/timeline"
@@ -191,7 +192,7 @@ func (s Session) Run(ctx context.Context, spec RunSpec, opts ...RunOption) (RunR
 		s.Faults = *o.faults
 	}
 	sideband := o.trace || o.events || o.faultStats || o.spans || o.sink != nil
-	key := s.execKey(spec.App, spec.Governor, spec.Idx, o.trace, sideband)
+	key := s.specKey(spec)
 	if !sideband {
 		r, err := s.executor().Submit(ctx, key)
 		if err != nil {
@@ -199,12 +200,14 @@ func (s Session) Run(ctx context.Context, spec RunSpec, opts ...RunOption) (RunR
 		}
 		return RunResult{Run: r}, nil
 	}
-	key.Payload.(*runPayload).sink = o.sink
+	// This run owns its payload, so the sideband fields are its own.
+	p := key.Payload.(*runPayload)
+	p.traced, p.keep, p.sink = o.trace, true, o.sink
 	var tr *SpanTrace
 	ownTrace := false
 	if o.spans {
 		if tr = span.FromContext(ctx); tr == nil {
-			tr = span.New(s.RunID(spec))
+			tr = span.New(exec.RunID(key.ID()))
 			ctx = span.NewContext(ctx, tr)
 			ownTrace = true
 		}
@@ -220,7 +223,6 @@ func (s Session) Run(ctx context.Context, spec RunSpec, opts ...RunOption) (RunR
 	if err != nil {
 		return RunResult{}, wrapErr("run", err)
 	}
-	p := key.Payload.(*runPayload)
 	res := RunResult{Run: r, TraceSummary: p.summary}
 	if o.trace {
 		res.Trace = p.rec

@@ -289,7 +289,7 @@ func (s Session) SummarizeCtx(ctx context.Context, app App, gov Governor, n int)
 	if n < 1 {
 		return Summary{}, fmt.Errorf("dufp: need at least one run, got %d: %w", n, ErrBadConfig)
 	}
-	return s.executor().Summary(ctx, s.execKey(app, gov, 0, false, false), n)
+	return s.executor().Summary(ctx, s.runKey(s.fingerprint(), app, gov, 0), n)
 }
 
 // SummaryRequest names one (application, governor) configuration of a
@@ -330,10 +330,16 @@ func (s Session) SummarizeAll(ctx context.Context, reqs []SummaryRequest, n int)
 		}
 		return out
 	}
+	// Address each configuration once: one session fingerprint for the
+	// batch, one key (fingerprints and payload) per request, copied
+	// across the request's run indices.
+	fp := s.fingerprint()
 	keys := make([]RunKey, 0, len(reqs)*n)
 	for _, req := range reqs {
+		key := s.runKey(fp, req.App, req.Governor, 0)
 		for i := 0; i < n; i++ {
-			keys = append(keys, s.execKey(req.App, req.Governor, i, false, false))
+			key.Idx = i
+			keys = append(keys, key)
 		}
 	}
 	runs := make([]Run, len(keys))
