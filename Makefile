@@ -43,8 +43,11 @@ short:
 race:
 	$(GO) test -race ./...
 
+# vet also fails on any tracked Go file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # cover enforces a floor on the telemetry layer's test coverage: the
 # registry and timeline are pure data plumbing, so near-total coverage is

@@ -300,6 +300,45 @@ func TestRunIDGolden(t *testing.T) {
 	}
 }
 
+// TestDefaultPhysicsGolden pins the bits of the run TestRunIDGolden
+// addresses. The macro-step and the reference loop are checked against
+// each other elsewhere; this catches a change that moves both together,
+// which would silently serve stale results from every cache keyed by
+// PhysicsVersion.
+func TestDefaultPhysicsGolden(t *testing.T) {
+	app, err := dufp.AppNamed("CG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := dufp.RunSpec{App: app, Governor: dufp.DUFP(dufp.DefaultControlConfig(0.10)), Idx: 3}
+	res, err := dufp.NewSession().Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := res.Run
+	if r.Time != 39703572498 {
+		t.Errorf("Time = %d ns, want 39703572498", r.Time)
+	}
+	golden := []struct {
+		name string
+		got  float64
+		want uint64
+	}{
+		{"Slowdown", r.Slowdown, 0x3fb999999999999a},
+		{"PkgEnergy", float64(r.PkgEnergy), 0x40cebb948b5d883b},
+		{"DramEnergy", float64(r.DramEnergy), 0x40a7fce35d7e5698},
+		{"AvgPkgPower", float64(r.AvgPkgPower), 0x4078c50e47e2cdaa},
+		{"AvgDramPower", float64(r.AvgDramPower), 0x405355638e5ad581},
+		{"AvgCoreFreq", float64(r.AvgCoreFreq), 0x41e2f7853193bac9},
+		{"AvgUncore", float64(r.AvgUncore), 0x41dda5bbce266546},
+	}
+	for _, g := range golden {
+		if got := math.Float64bits(g.got); got != g.want {
+			t.Errorf("%s = %v (%#016x), want %#016x", g.name, g.got, got, g.want)
+		}
+	}
+}
+
 func TestSummarizeAllMatchesSummarizeCtx(t *testing.T) {
 	app := fastApp(t)
 	// A twin shares the application's name but not its phase program, so

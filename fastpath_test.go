@@ -3,12 +3,45 @@ package dufp_test
 import (
 	"context"
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"dufp"
 )
+
+// runBitDiff names the first field in which a and b differ, comparing
+// floating-point fields by their bits; "" means the runs are identical.
+func runBitDiff(a, b dufp.Run) string {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		fa, fb := va.Field(i), vb.Field(i)
+		same := fa.Interface() == fb.Interface()
+		if fa.Kind() == reflect.Float64 {
+			same = math.Float64bits(fa.Float()) == math.Float64bits(fb.Float())
+		}
+		if !same {
+			return va.Type().Field(i).Name
+		}
+	}
+	return ""
+}
+
+// fastTicksTotal reads the simulator's process-wide macro-stepped tick
+// counter.
+func fastTicksTotal(t *testing.T) float64 {
+	t.Helper()
+	for _, f := range dufp.Metrics().Snapshot() {
+		if f.Name == "sim_fast_ticks_total" {
+			return f.Series[0].Value
+		}
+	}
+	t.Fatal("sim_fast_ticks_total is not registered")
+	return 0
+}
 
 // TestExactPhysicsBitIdentical sweeps the public run path — governors ×
 // power jitter × fault plans — asserting that a session pinned to the
@@ -68,8 +101,8 @@ func TestExactPhysicsBitIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if free.Run != exact.Run {
-						t.Fatalf("runs diverge:\nfree:  %+v\nexact: %+v", free.Run, exact.Run)
+					if f := runBitDiff(free.Run, exact.Run); f != "" {
+						t.Fatalf("runs diverge in %s:\nfree:  %+v\nexact: %+v", f, free.Run, exact.Run)
 					}
 					if free.Trace.Len() != exact.Trace.Len() {
 						t.Fatalf("trace lengths diverge: %d vs %d", free.Trace.Len(), exact.Trace.Len())
@@ -90,6 +123,65 @@ func TestExactPhysicsBitIdentical(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestExactPhysicsFig3Grid runs the whole Fig-3 grid — every application
+// under the baseline and under DUF and DUFP at each tolerance, one run
+// per configuration — on a default session and on one pinned to the
+// reference loop, and requires every run to match bit for bit. Each
+// session has its own executor, so the runs also exercise the pooled
+// machines' Reset. The default side must really macro-step and the
+// exact side must not.
+func TestExactPhysicsFig3Grid(t *testing.T) {
+	var specs []dufp.RunSpec
+	for _, app := range dufp.Suite() {
+		specs = append(specs, dufp.RunSpec{App: app, Governor: dufp.Baseline()})
+		for _, tol := range []float64{0, 0.05, 0.10, 0.20} {
+			cfg := dufp.DefaultControlConfig(tol)
+			specs = append(specs,
+				dufp.RunSpec{App: app, Governor: dufp.DUF(cfg)},
+				dufp.RunSpec{App: app, Governor: dufp.DUFP(cfg)})
+		}
+	}
+	if len(specs) != 90 {
+		t.Fatalf("grid has %d configurations, want 90", len(specs))
+	}
+	ctx := context.Background()
+	campaign := func(s dufp.Session) ([]dufp.Run, float64) {
+		before := fastTicksTotal(t)
+		runs := make([]dufp.Run, len(specs))
+		errs := make([]error, len(specs))
+		var wg sync.WaitGroup
+		for i, spec := range specs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := s.Run(ctx, spec)
+				runs[i], errs[i] = res.Run, err
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s/%s: %v", specs[i].App.Name, specs[i].Governor.ID(), err)
+			}
+		}
+		return runs, fastTicksTotal(t) - before
+	}
+	free, freeFast := campaign(dufp.NewSession(dufp.WithExecutor(dufp.NewExecutor())))
+	exact, exactFast := campaign(dufp.NewSession(dufp.WithExecutor(dufp.NewExecutor()), dufp.WithExactPhysics()))
+	if freeFast <= 0 {
+		t.Errorf("default session macro-stepped %v ticks, want > 0", freeFast)
+	}
+	if exactFast != 0 {
+		t.Errorf("exact session macro-stepped %v ticks, want 0", exactFast)
+	}
+	for i := range specs {
+		if f := runBitDiff(free[i], exact[i]); f != "" {
+			t.Errorf("%s/%s: runs diverge in %s:\nfree:  %+v\nexact: %+v",
+				specs[i].App.Name, specs[i].Governor.ID(), f, free[i], exact[i])
 		}
 	}
 }

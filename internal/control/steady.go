@@ -349,7 +349,7 @@ func (d *DNPC) SteadyNoOp(o Observables) bool {
 	case raiseSetting:
 		return false
 	case lowerSetting:
-		return (d.cap - d.cfg.CapStep).Clamp(d.cfg.CapFloor, d.act.Spec.DefaultPL1) == d.cap
+		return (d.cap-d.cfg.CapStep).Clamp(d.cfg.CapFloor, d.act.Spec.DefaultPL1) == d.cap
 	}
 	return true
 }

@@ -104,8 +104,22 @@ func encodeConstraint(u Units, c PowerLimit) uint64 {
 	return v
 }
 
+// windowLadder holds every representable window multiplier 2^Y × (1 + Z/4)
+// at index Y<<2|Z. The ladder ascends strictly: each Y's largest step,
+// 1.75 × 2^Y, sits below the next Y's smallest, 2^(Y+1). For Y < 32 the
+// shifted power of two equals math.Exp2(Y) exactly.
+var windowLadder = func() (l [128]float64) {
+	for y := 0; y < 32; y++ {
+		for z := 0; z < 4; z++ {
+			l[y<<2|z] = float64(uint64(1)<<y) * (1 + float64(z)/4)
+		}
+	}
+	return l
+}()
+
 // encodeWindow maps a window in seconds to the 7-bit Y/Z encoding:
-// window = 2^Y × (1 + Z/4) × TimeUnit, Y in bits 4:0, Z in bits 6:5.
+// window = 2^Y × (1 + Z/4) × TimeUnit, Y in bits 4:0, Z in bits 6:5. It
+// picks the ladder step nearest the target; a tie keeps the lower step.
 func encodeWindow(u Units, w float64) uint8 {
 	if w <= 0 || u.TimeUnit <= 0 {
 		return 0
@@ -114,23 +128,25 @@ func encodeWindow(u Units, w float64) uint8 {
 	if target < 1 {
 		target = 1
 	}
-	bestY, bestZ := 0, 0
+	// Along the ascending ladder the error falls until the first step at
+	// or past the target and only grows after it, so the scan stops there.
+	best := 0
 	bestErr := math.Inf(1)
-	for y := 0; y < 32; y++ {
-		for z := 0; z < 4; z++ {
-			got := math.Exp2(float64(y)) * (1 + float64(z)/4)
-			if err := math.Abs(got - target); err < bestErr {
-				bestErr, bestY, bestZ = err, y, z
-			}
+	for i, got := range windowLadder {
+		if err := math.Abs(got - target); err < bestErr {
+			bestErr, best = err, i
+		}
+		if got >= target {
+			break
 		}
 	}
-	return uint8(bestY | bestZ<<5)
+	return uint8(best>>2 | (best&3)<<5)
 }
 
 func decodeWindow(u Units, bits uint8) float64 {
 	y := bits & 0x1F
 	z := (bits >> 5) & 0x3
-	return math.Exp2(float64(y)) * (1 + float64(z)/4) * u.TimeUnit
+	return windowLadder[y<<2|z] * u.TimeUnit
 }
 
 // DecodePkgPowerLimit interprets a raw MSR_PKG_POWER_LIMIT value using the

@@ -101,6 +101,106 @@ func TestWindowEncodingMonotonic(t *testing.T) {
 	}
 }
 
+// exhaustiveEncodeWindow is the reference window encoder: it evaluates
+// all 128 encodings through math.Exp2, Y-major, and keeps the first one
+// strictly nearest the target. encodeWindow must agree with it on every
+// input.
+func exhaustiveEncodeWindow(u Units, w float64) uint8 {
+	if w <= 0 || u.TimeUnit <= 0 {
+		return 0
+	}
+	target := w / u.TimeUnit
+	if target < 1 {
+		target = 1
+	}
+	bestY, bestZ := 0, 0
+	bestErr := math.Inf(1)
+	for y := 0; y < 32; y++ {
+		for z := 0; z < 4; z++ {
+			got := math.Exp2(float64(y)) * (1 + float64(z)/4)
+			if err := math.Abs(got - target); err < bestErr {
+				bestErr, bestY, bestZ = err, y, z
+			}
+		}
+	}
+	return uint8(bestY | bestZ<<5)
+}
+
+// windowCodes returns the 128 window encodings in ascending order of the
+// window they represent, with those windows in time units.
+func windowCodes() (codes []uint8, steps []float64) {
+	for y := 0; y < 32; y++ {
+		for z := 0; z < 4; z++ {
+			codes = append(codes, uint8(y|z<<5))
+			steps = append(steps, math.Exp2(float64(y))*(1+float64(z)/4))
+		}
+	}
+	return codes, steps
+}
+
+func TestEncodeWindowMatchesExhaustiveSearch(t *testing.T) {
+	codes, steps := windowCodes()
+	var mids []float64
+	for i := 1; i < len(steps); i++ {
+		mids = append(mids, (steps[i-1]+steps[i])/2)
+	}
+	tests := []struct {
+		name    string
+		targets []float64 // windows in time units
+		// toCodes additionally requires targets[i] to encode to codes[i].
+		toCodes bool
+	}{
+		{name: "ladder values", targets: steps, toCodes: true},
+		// A midpoint is equally far from both neighbours: the lower wins.
+		{name: "midpoints", targets: mids, toCodes: true},
+		{name: "below one", targets: []float64{0.5, 0.999, 1e-300, math.SmallestNonzeroFloat64}},
+		{name: "above the ladder", targets: []float64{steps[len(steps)-1] * 1.1, 1e12, 1e300}},
+		{name: "zero", targets: []float64{0}},
+		{name: "negative", targets: []float64{-1, -1e-9, -1e300}},
+		{name: "NaN", targets: []float64{math.NaN()}},
+		{name: "+Inf", targets: []float64{math.Inf(1)}},
+		{name: "-Inf", targets: []float64{math.Inf(-1)}},
+	}
+	timeUnits := []struct {
+		name string
+		tu   uint64 // the MSR_RAPL_POWER_UNIT TU field
+	}{
+		{"1/1024 s", 10},
+		{"1/8 s", 3},
+		{"1 s", 0},
+	}
+	for _, tu := range timeUnits {
+		u := DecodeUnits(tu.tu << 16)
+		for _, tt := range tests {
+			t.Run(tu.name+"/"+tt.name, func(t *testing.T) {
+				for i, x := range tt.targets {
+					w := x * u.TimeUnit
+					got, want := encodeWindow(u, w), exhaustiveEncodeWindow(u, w)
+					if got != want {
+						t.Errorf("target %v TU: encodeWindow = %#x, exhaustive search = %#x", x, got, want)
+					}
+					if tt.toCodes && got != codes[i] {
+						t.Errorf("target %v TU: encodeWindow = %#x, want %#x", x, got, codes[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+func TestDecodeWindowMatchesExp2(t *testing.T) {
+	for _, tu := range []uint64{10, 3, 0} {
+		u := DecodeUnits(tu << 16)
+		for code := 0; code < 128; code++ {
+			y, z := code&0x1F, code>>5
+			want := math.Exp2(float64(y)) * (1 + float64(z)/4) * u.TimeUnit
+			if got := decodeWindow(u, uint8(code)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("TU=2^-%d code %#x: decodeWindow = %v, want %v", tu, code, got, want)
+			}
+		}
+	}
+}
+
 func TestUncoreRatioLimitRoundTrip(t *testing.T) {
 	prop := func(min, max uint8) bool {
 		in := UncoreRatioLimit{Min: min & 0x7F, Max: max & 0x7F}

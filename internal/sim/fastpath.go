@@ -1,13 +1,19 @@
 // Event-horizon fast path: when the per-tick physics is provably
 // invariant — every uncore already sits at its policy target, no
-// monitoring stall is pending, power jitter is disabled and no per-tick
-// actor is attached — the distance (in ticks) to the next state-changing
-// event is known, and the whole window can be advanced in one macro-step
-// whose accumulation replays the reference loop's floating-point
-// operations verbatim. The macro-step is therefore bit-identical to
-// ticking the machine one millisecond at a time; it is merely free of the
-// model re-evaluation, actuation polling and unit conversions that
-// dominate the reference tick.
+// monitoring stall is pending and no per-tick actor is attached — the
+// distance (in ticks) to the next state-changing event is known, and the
+// whole window can be advanced in one macro-step whose accumulation
+// replays the reference loop's floating-point operations verbatim. The
+// macro-step is therefore bit-identical to ticking the machine one
+// millisecond at a time; it is merely free of the model re-evaluation,
+// actuation polling and unit conversions that dominate the reference
+// tick.
+//
+// Power jitter is the one per-tick input a window admits. It touches
+// only the package power the tick settles with (energy, the last power
+// reading and the RAPL limiter's input), never the load or rates the
+// window holds constant, so the joint gear draws it per socket per tick
+// from the socket's own RNG exactly as the reference settle does.
 //
 // Events that bound a window are detected on two levels. Run computes the
 // loop-level horizon before entering a window: the next governor
@@ -20,20 +26,22 @@
 // fast path is an optimisation, never a second semantics.
 //
 // Within a window the ticks execute in one of two gears. The joint gear
-// interleaves all sockets tick by tick, evaluating the boundary pre-check
-// and the RAPL limiter every tick — the shape PR 4 introduced. The
-// straight-line gear runs whenever the RAPL limiters certify (Steady)
-// that no frequency transition can occur and the phase boundary is
-// provably more than the chunk away: each socket's accumulators then
-// advance in a tight per-socket loop with every per-tick branch hoisted
-// out, and the limiter averages are replayed afterwards in one Advance
-// call. Both gears produce bit-identical state — the per-accumulator
-// floating-point chains are socket-local, so reordering sockets around
-// ticks changes nothing.
+// interleaves all sockets tick by tick, evaluating the boundary pre-check,
+// the power jitter and the RAPL limiter every tick. The straight-line
+// gear runs whenever the RAPL limiters certify (Steady) that no frequency
+// transition can occur and the phase boundary is provably more than the
+// chunk away: each socket's accumulators then advance in a tight
+// per-socket loop with every per-tick branch hoisted out, and the limiter
+// averages are replayed afterwards in one Advance call. Both gears
+// produce bit-identical state — the per-accumulator floating-point chains
+// are socket-local, so reordering sockets around ticks changes nothing.
+// The limiter certificate holds only at constant power, so a jittered
+// machine runs the joint gear alone.
 //
 // Windows pause at control-round instants when Run has certified the
 // governors' steadiness contract (see internal/control), letting the run
-// skip whole decision rounds; run.go owns that plumbing.
+// skip whole decision rounds; run.go owns that plumbing, and needs
+// constant power for the same reason.
 package sim
 
 import (
@@ -95,8 +103,9 @@ func (s *Socket) uncoreSteady(memUtil float64) bool {
 // derives each socket's per-tick constants, committing the constant
 // observables. It returns false — leaving all socket state untouched —
 // when steady-state cannot be established, in which case the caller must
-// run the exact per-tick loop. The caller guarantees no pending stall
-// and PowerJitterSD == 0.
+// run the exact per-tick loop. The caller guarantees no pending stall.
+// Under power jitter the committed power is the window's unjittered
+// base; the joint gear overwrites it on every tick it runs.
 func (m *Machine) establish() bool {
 	dt := m.dt
 
@@ -148,8 +157,8 @@ func (m *Machine) establish() bool {
 		f.coreHz = float64(s.coreFreq) * dt
 		f.uncHz = float64(s.uncoreFreq) * dt
 		f.mperfD = float64(s.spec.BaseCoreFreq) * dt
-		f.avgPower = pend.DividedBy(m.tickDur)
-		f.dram = pendD.DividedBy(m.tickDur)
+		f.avgPower = units.Power(float64(pend) / m.tickSecs)
+		f.dram = units.Power(float64(pendD) / m.tickSecs)
 		f.load = load
 		f.bw = units.Bandwidth(bwRate)
 		f.fr = units.FlopRate(flopRate)
@@ -241,10 +250,14 @@ func (m *Machine) chunk(limit int) (int, bool) {
 }
 
 // straightTicks returns how many ticks may run in the straight-line gear
-// (0 to decline): every limiter must certify that no frequency
-// transition can occur at the window's constant power, and the phase
-// boundary must be provably further than the chunk plus a safety pad.
+// (0 to decline): the power must be constant (no jitter), every limiter
+// must certify that no frequency transition can occur at that power, and
+// the phase boundary must be provably further than the chunk plus a
+// safety pad.
 func (m *Machine) straightTicks(limit int) int {
+	if m.cfg.PowerJitterSD != 0 {
+		return 0
+	}
 	c := limit
 	if progress := m.fastProgress; progress > 0 {
 		guard := progress*m.dt + 1e-9
@@ -317,12 +330,14 @@ func (m *Machine) straightLine(c int) {
 }
 
 // jointTicks is the joint gear: up to limit ticks with all sockets
-// interleaved per tick, the boundary pre-check and the RAPL limiter
-// evaluated every tick — the reference accumulation, verbatim. It
-// returns the ticks consumed and whether an event ended the chunk.
+// interleaved per tick, the boundary pre-check, the power jitter and the
+// RAPL limiter evaluated every tick — the reference accumulation,
+// verbatim. It returns the ticks consumed and whether an event ended the
+// chunk.
 func (m *Machine) jointTicks(limit int) (int, bool) {
 	dt := m.dt
 	progress := m.fastProgress
+	jitterSD := m.cfg.PowerJitterSD
 	n := 0
 	for n < limit {
 		// A partial step inside this tick means a phase boundary: the
@@ -356,10 +371,20 @@ func (m *Machine) jointTicks(limit int) (int, bool) {
 			}
 		}
 		// The settle accumulation, with the constant avgPower standing in
-		// for the pending-energy division it equals.
+		// for the pending-energy division it equals, jittered as settle
+		// jitters it.
 		transition := false
 		for i, s := range m.sockets {
 			f := &m.fast[i]
+			power := f.avgPower
+			if jitterSD > 0 {
+				j := units.Power(s.jitter.NormFloat64() * jitterSD)
+				if power+j > 0 {
+					power += j
+					s.pendingEnergy = units.Energy(float64(power) * m.tickSecs)
+				}
+			}
+			s.lastPower = power
 			s.pkgEnergy += s.pendingEnergy
 			s.dramEnergy += s.pendingDram
 			s.pendingEnergy, s.pendingDram = 0, 0
@@ -368,7 +393,7 @@ func (m *Machine) jointTicks(limit int) (int, bool) {
 			s.uncHzSecs += f.uncHz
 			s.aperf += f.coreHz
 			s.mperf += f.mperfD
-			if next := s.limiter.Step(f.avgPower, dt, s.coreFreq, s.request); next != s.coreFreq {
+			if next := s.limiter.Step(power, dt, s.coreFreq, s.request); next != s.coreFreq {
 				if next < s.coreFreq {
 					m.clampTicks++
 				}

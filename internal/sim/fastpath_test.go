@@ -187,8 +187,9 @@ func (g *bandStepper) Tick(time.Duration) error {
 
 // TestFastPathPropertyBitIdentical sweeps randomized workloads across
 // governor styles, jitter, monitoring overhead and tracing, asserting the
-// event-horizon fast path never changes a single bit of the outcome and
-// engages (or falls back) exactly when it should.
+// event-horizon fast path never changes a single bit of the outcome,
+// engages on every run, jittered or not, and never skips a round of a
+// jittered one.
 func TestFastPathPropertyBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	govStyles := []struct {
@@ -207,6 +208,14 @@ func TestFastPathPropertyBitIdentical(t *testing.T) {
 			govs := make([]Governor, m.Sockets())
 			for i := range govs {
 				govs[i] = &bandStepper{m: m, cpu: m.Socket(i).CPU0()}
+			}
+			return govs
+		}},
+		// A round skipper, so the run may skip certified rounds.
+		{"steady", func(m *Machine) []Governor {
+			govs := make([]Governor, m.Sockets())
+			for i := range govs {
+				govs[i] = newSteadyCapGov(m, i, 110*units.Watt, 130*units.Watt)
 			}
 			return govs
 		}},
@@ -231,11 +240,11 @@ func TestFastPathPropertyBitIdentical(t *testing.T) {
 					spec.governors = gs.build
 				}
 				fast, _ := runPair(t, spec)
-				if jitter > 0 && fast.FastTicks() != 0 {
-					t.Fatalf("%s: jittered run macro-stepped %d ticks", spec.name, fast.FastTicks())
+				if fast.FastTicks() == 0 {
+					t.Fatalf("%s: run never macro-stepped", spec.name)
 				}
-				if jitter == 0 && fast.FastTicks() == 0 {
-					t.Fatalf("%s: clean run never macro-stepped", spec.name)
+				if jitter > 0 && fast.SkippedRounds() != 0 {
+					t.Fatalf("%s: jittered run skipped %d rounds", spec.name, fast.SkippedRounds())
 				}
 			}
 		}
@@ -308,11 +317,12 @@ const (
 
 // TestZeroAllocsPerTick verifies the steady-state tick loop allocates
 // nothing: the allocation cost of a 1 s and a 2 s run must be identical
-// (setup-only) on both the fast and the exact path.
+// (setup-only) on both the fast and the exact path, with and without
+// power jitter.
 func TestZeroAllocsPerTick(t *testing.T) {
-	measure := func(d time.Duration, exact bool) float64 {
+	measure := func(d time.Duration, exact bool, jitterSD float64) float64 {
 		cfg := DefaultConfig()
-		cfg.PowerJitterSD = 0
+		cfg.PowerJitterSD = jitterSD
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -326,10 +336,13 @@ func TestZeroAllocsPerTick(t *testing.T) {
 			}
 		})
 	}
-	for _, exact := range []bool{false, true} {
-		a1, a2 := measure(time.Second, exact), measure(2*time.Second, exact)
-		if a2 != a1 {
-			t.Errorf("exact=%v: allocations scale with ticks: %v for 1s vs %v for 2s", exact, a1, a2)
+	for _, jitterSD := range []float64{0, 0.4} {
+		for _, exact := range []bool{false, true} {
+			a1, a2 := measure(time.Second, exact, jitterSD), measure(2*time.Second, exact, jitterSD)
+			if a2 != a1 {
+				t.Errorf("jitter=%v exact=%v: allocations scale with ticks: %v for 1s vs %v for 2s",
+					jitterSD, exact, a1, a2)
+			}
 		}
 	}
 }

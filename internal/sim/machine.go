@@ -80,9 +80,13 @@ type Machine struct {
 	// dt and tickDur are the physics step hoisted out of the tick loop:
 	// cfg.Tick in seconds and the same value converted back through the
 	// exact float64 expression the per-tick code historically used, so
-	// both loops observe one bit pattern.
-	dt      float64
-	tickDur time.Duration
+	// both loops observe one bit pattern. tickSecs is tickDur.Seconds(),
+	// the divisor of every per-tick energy/power conversion; tickDur is
+	// at least 1 ns for any positive Tick, so the conversions never meet
+	// the zero-duration case of units.Energy.DividedBy.
+	dt       float64
+	tickDur  time.Duration
+	tickSecs float64
 
 	// fast holds the per-socket constants of the event-horizon macro
 	// step, sized once so the hot loop never allocates; fastTicksRun and
@@ -112,13 +116,15 @@ func New(cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("sim: max duration must be positive, got %v", cfg.MaxDuration)
 	}
 	dt := cfg.Tick.Seconds()
+	tickDur := time.Duration(dt * float64(time.Second))
 	m := &Machine{
-		cfg:     cfg,
-		space:   msr.NewSpace(cfg.Topo.TotalCores()),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		dt:      dt,
-		tickDur: time.Duration(dt * float64(time.Second)),
-		fast:    make([]fastSock, cfg.Topo.Sockets),
+		cfg:      cfg,
+		space:    msr.NewSpace(cfg.Topo.TotalCores()),
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		dt:       dt,
+		tickDur:  tickDur,
+		tickSecs: tickDur.Seconds(),
+		fast:     make([]fastSock, cfg.Topo.Sockets),
 	}
 	spec := cfg.Topo.Spec
 	for i := 0; i < cfg.Topo.Sockets; i++ {

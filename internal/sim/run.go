@@ -247,17 +247,18 @@ func (m *Machine) Run(opts RunOpts) (Result, error) {
 	m.clampTicks = 0
 	m.fastTicksRun, m.fastWindowsRun = 0, 0
 	m.skippedRoundsRun = 0
-	// The macro-step is only sound when no per-tick actor can perturb the
-	// window: power jitter draws from the RNG every tick, and ExactLoop is
-	// the explicit opt-out (fault plans, reference runs).
-	fastOK := !opts.ExactLoop && m.cfg.PowerJitterSD == 0
+	// ExactLoop is the explicit opt-out of the macro-step (fault plans,
+	// reference runs).
+	fastOK := !opts.ExactLoop
 
 	// Round skipping needs every governor to speak the steadiness
-	// contract, and no per-round side channel: a monitoring stall would
-	// perturb the physics of the skipped rounds, and a trace needs the
-	// real per-tick cadence anyway.
+	// contract, constant power and no per-round side channel: the
+	// certificates hold only while the package power stays put, which
+	// jitter breaks every tick; a monitoring stall would perturb the
+	// physics of the skipped rounds; and a trace needs the real per-tick
+	// cadence anyway.
 	var skippers []control.RoundSkipper
-	skipOK := fastOK && ctrlTicks > 0 && opts.GovernorOverhead == 0 && opts.Trace == nil
+	skipOK := fastOK && m.cfg.PowerJitterSD == 0 && ctrlTicks > 0 && opts.GovernorOverhead == 0 && opts.Trace == nil
 	if skipOK {
 		skippers = make([]control.RoundSkipper, len(opts.Governors))
 		for i, g := range opts.Governors {

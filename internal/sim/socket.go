@@ -251,19 +251,21 @@ func (s *Socket) settle(dt, idle float64) {
 		s.pendingEnergy += model.EnergyOver(cfg.IdlePower, idle)
 		s.pendingDram += model.EnergyOver(cfg.Power.DramStatic, idle)
 	}
-	tick := s.m.tickDur
-	avgPower := s.pendingEnergy.DividedBy(tick)
+	// Energy.DividedBy and Power.Over over tickDur, with its seconds
+	// hoisted (see Machine.tickSecs).
+	tick := s.m.tickSecs
+	avgPower := units.Power(float64(s.pendingEnergy) / tick)
 	if cfg.PowerJitterSD > 0 {
 		j := units.Power(s.jitter.NormFloat64() * cfg.PowerJitterSD)
 		if avgPower+j > 0 {
 			avgPower += j
-			s.pendingEnergy = avgPower.Over(tick)
+			s.pendingEnergy = units.Energy(float64(avgPower) * tick)
 		}
 	}
 	s.pkgEnergy += s.pendingEnergy
 	s.dramEnergy += s.pendingDram
 	s.lastPower = avgPower
-	s.lastDram = s.pendingDram.DividedBy(tick)
+	s.lastDram = units.Power(float64(s.pendingDram) / tick)
 	s.pendingEnergy, s.pendingDram = 0, 0
 
 	busy := dt - idle

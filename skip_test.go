@@ -37,9 +37,9 @@ func TestSessionRoundSkipping(t *testing.T) {
 					opts = append(opts, dufp.WithExactPhysics())
 				}
 				s := dufp.NewSession(opts...)
-				// Zero power jitter so the macro-step engages, and zero
+				// Zero power jitter so the power stays constant, and zero
 				// measurement noise so the monitors become provably
-				// deterministic — the steadiness contract requires both.
+				// deterministic — round skipping requires both.
 				s.Sim.PowerJitterSD = 0
 				s.NoiseSD = 0
 				return s
@@ -88,8 +88,8 @@ func TestSessionRoundSkippingNoisy(t *testing.T) {
 	if s.NoiseSD == 0 {
 		t.Fatal("default session unexpectedly noise-free")
 	}
-	// Jitter-free physics lets the macro-step engage; the measurement
-	// noise alone must still veto every skip.
+	// Jitter-free physics admits round skipping; the measurement noise
+	// alone must still veto every skip.
 	s.Sim.PowerJitterSD = 0
 	spec := dufp.RunSpec{App: app, Governor: dufp.DUFP(dufp.DefaultControlConfig(0.10))}
 	res, err := s.Run(context.Background(), spec, dufp.WithSpans())
