@@ -43,9 +43,12 @@ short:
 race:
 	$(GO) test -race ./...
 
-# vet also fails on any tracked Go file gofmt would rewrite.
+# vet also covers the benchmark module (trafficbench/ is a module of its
+# own, so ./... stops at its boundary) and fails on any tracked Go file
+# gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	$(GO) -C trafficbench vet ./...
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 

@@ -132,9 +132,7 @@ func steadyShape() model.PhaseShape {
 }
 
 func newMachine() (*sim.Machine, error) {
-	cfg := sim.DefaultConfig()
-	cfg.PowerJitterSD = 0 // steady state: the fast path's home turf
-	m, err := sim.New(cfg)
+	m, err := sim.New(sim.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -203,9 +201,7 @@ func governedOpts(m *sim.Machine) sim.RunOpts {
 // allocsPerTick measures steady-state allocations per physics tick as the
 // allocation difference between a 2 s and a 1 s run (setup cost cancels).
 func allocsPerTick() (float64, error) {
-	cfg := sim.DefaultConfig()
-	cfg.PowerJitterSD = 0
-	m, err := sim.New(cfg)
+	m, err := sim.New(sim.DefaultConfig())
 	if err != nil {
 		return 0, err
 	}

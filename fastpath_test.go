@@ -44,14 +44,31 @@ func fastTicksTotal(t *testing.T) float64 {
 }
 
 // TestExactPhysicsBitIdentical sweeps the public run path — governors ×
-// power jitter × fault plans — asserting that a session pinned to the
-// simulator's reference per-tick loop (WithExactPhysics) produces runs
-// and traces bit-identical to the default session, which is free to take
-// the event-horizon macro-step whenever a window qualifies.
+// power jitter and measurement noise × fault plans — asserting that a
+// session pinned to the simulator's reference per-tick loop
+// (WithExactPhysics) produces runs and traces bit-identical to the
+// default session, which is free to take the event-horizon macro-step
+// whenever a window qualifies.
 func TestExactPhysicsBitIdentical(t *testing.T) {
-	app, err := dufp.SteadyApp(dufp.SteadyConfig{OIClass: "memory", Duration: 2 * time.Second})
+	memory, err := dufp.SteadyApp(dufp.SteadyConfig{OIClass: "memory", Duration: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
+	}
+	compute, err := dufp.SteadyApp(dufp.SteadyConfig{OIClass: "compute", Duration: 4 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Constant power and noise-free monitors make the rounds of a long
+	// steady phase repeat themselves once the controllers settle.
+	physics := []struct {
+		name      string
+		app       dufp.App
+		jitter    float64
+		noiseFree bool
+	}{
+		{"jitter=0", memory, 0, false},
+		{"jitter=0.4", memory, 0.4, false},
+		{"jitter=0/noise=0", compute, 0, true},
 	}
 	// Guarded controller configs so faulted runs survive injected sample
 	// errors (the guard is part of the controllers under test either way).
@@ -76,9 +93,9 @@ func TestExactPhysicsBitIdentical(t *testing.T) {
 	ctx := context.Background()
 
 	for _, g := range governors {
-		for _, jitter := range []float64{0, 0.4} {
+		for _, ph := range physics {
 			for _, p := range plans {
-				name := fmt.Sprintf("%s/jitter=%v/%s", g.name, jitter, p.name)
+				name := fmt.Sprintf("%s/%s/%s", g.name, ph.name, p.name)
 				t.Run(name, func(t *testing.T) {
 					build := func(exact bool) dufp.Session {
 						opts := []dufp.SessionOption{dufp.WithExecutor(dufp.NewExecutor())}
@@ -89,10 +106,13 @@ func TestExactPhysicsBitIdentical(t *testing.T) {
 							opts = append(opts, dufp.WithExactPhysics())
 						}
 						s := dufp.NewSession(opts...)
-						s.Sim.PowerJitterSD = jitter
+						s.Sim.PowerJitterSD = ph.jitter
+						if ph.noiseFree {
+							s.NoiseSD = 0
+						}
 						return s
 					}
-					spec := dufp.RunSpec{App: app, Governor: g.gov}
+					spec := dufp.RunSpec{App: ph.app, Governor: g.gov}
 					free, err := build(false).Run(ctx, spec, dufp.WithTrace())
 					if err != nil {
 						t.Fatal(err)
@@ -124,6 +144,66 @@ func TestExactPhysicsBitIdentical(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestSessionRoundSkipping sweeps the public run path with a noise-free,
+// jitter-free session, where the controllers settle into identical
+// rounds over a long steady phase, asserting that a governed run stays
+// bit-identical to the pinned reference loop and that no control round
+// is skipped: the span summary records as many real rounds as the
+// reference loop ran.
+func TestSessionRoundSkipping(t *testing.T) {
+	app, err := dufp.SteadyApp(dufp.SteadyConfig{OIClass: "compute", Duration: 4 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := dufp.DefaultControlConfig(0.10)
+	governors := []struct {
+		name string
+		gov  dufp.Governor
+	}{
+		{"dufp", dufp.DUFP(ctrl)},
+		{"duf", dufp.DUF(ctrl)},
+		{"staticcap", dufp.StaticCap(110*dufp.Watt, 110*dufp.Watt)},
+	}
+	ctx := context.Background()
+
+	for _, g := range governors {
+		t.Run(g.name, func(t *testing.T) {
+			build := func(exact bool) dufp.Session {
+				opts := []dufp.SessionOption{dufp.WithExecutor(dufp.NewExecutor())}
+				if exact {
+					opts = append(opts, dufp.WithExactPhysics())
+				}
+				s := dufp.NewSession(opts...)
+				s.Sim.PowerJitterSD = 0
+				s.NoiseSD = 0
+				return s
+			}
+			spec := dufp.RunSpec{App: app, Governor: g.gov}
+			free, err := build(false).Run(ctx, spec, dufp.WithSpans())
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, err := build(true).Run(ctx, spec, dufp.WithSpans())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f := runBitDiff(free.Run, exact.Run); f != "" {
+				t.Fatalf("runs diverge in %s:\nfree:  %+v\nexact: %+v", f, free.Run, exact.Run)
+			}
+			if free.Spans == nil || exact.Spans == nil {
+				t.Fatal("span summaries missing")
+			}
+			if exact.Spans.Rounds == 0 {
+				t.Fatalf("%s: reference run recorded no rounds", g.name)
+			}
+			if free.Spans.Rounds != exact.Spans.Rounds {
+				t.Fatalf("%s: free run recorded %d rounds, reference loop %d",
+					g.name, free.Spans.Rounds, exact.Spans.Rounds)
+			}
+		})
 	}
 }
 

@@ -30,9 +30,6 @@ type uncoreLoop struct {
 	// ticks, which would time-average above the tolerance because the
 	// 100 MHz quantum is coarser than the measurement-error band.
 	latched bool
-	// steadyDec caches the decision a certified no-op Step would record
-	// (see steady.go); skipRound replays it.
-	steadyDec decision
 }
 
 func newUncoreLoop(act Actuators, cfg Config) *uncoreLoop {

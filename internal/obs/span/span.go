@@ -82,11 +82,6 @@ type Round struct {
 	CapW float64
 	// UncoreHz is the delivered uncore frequency after the round.
 	UncoreHz float64
-	// Skipped counts the control rounds skipped under the governors'
-	// steadiness contract since the previous recorded round: provably
-	// no-op decisions the simulator advanced past without invoking the
-	// governors.
-	Skipped int
 }
 
 // Event is one instant annotation — a guard trip, a phase change —
@@ -109,12 +104,8 @@ type Trace struct {
 	stack  []int32 // indices of open spans; new spans nest under the top
 	rounds []Round
 	events []Event
-	// skippedTail counts skipped control rounds not attributed to any
-	// recorded Round — the certified no-op tail after the last real
-	// round of a run.
-	skippedTail int
-	done        bool
-	total       time.Duration
+	done   bool
+	total  time.Duration
 }
 
 // New starts a trace for one run: the root span opens immediately and
@@ -198,18 +189,6 @@ func (t *Trace) AddRound(r Round) {
 	}
 	t.mu.Lock()
 	t.rounds = append(t.rounds, r)
-	t.mu.Unlock()
-}
-
-// AddSkippedRounds records n skipped control rounds that no later real
-// round will attribute (the steady tail of a run); they count toward
-// Summary.SkippedRounds.
-func (t *Trace) AddSkippedRounds(n int) {
-	if t == nil || n <= 0 {
-		return
-	}
-	t.mu.Lock()
-	t.skippedTail += n
 	t.mu.Unlock()
 }
 
@@ -326,10 +305,6 @@ type Summary struct {
 	Stages  []StageSummary `json:"stages,omitempty"`
 	Rounds  int            `json:"rounds,omitempty"`
 	RoundNS int64          `json:"round_ns,omitempty"`
-	// SkippedRounds is the total number of control rounds the simulator
-	// skipped under the governors' steadiness contract; they appear in
-	// no Round record's wall-clock interval.
-	SkippedRounds int `json:"skipped_rounds,omitempty"`
 }
 
 // Stage returns the named stage's self time (0 when absent).
@@ -384,7 +359,7 @@ func (t *Trace) Summary() Summary {
 		a.dur += self
 		a.n++
 	}
-	sum := Summary{RunID: t.runID, Rounds: len(t.rounds), SkippedRounds: t.skippedTail}
+	sum := Summary{RunID: t.runID, Rounds: len(t.rounds)}
 	if len(t.spans) > 0 {
 		e := t.spans[0].End
 		if e < 0 {
@@ -398,7 +373,6 @@ func (t *Trace) Summary() Summary {
 	}
 	for _, r := range t.rounds {
 		sum.RoundNS += int64(r.End - r.Start)
-		sum.SkippedRounds += r.Skipped
 	}
 	return sum
 }

@@ -243,21 +243,6 @@ func (m *Monitor) Sample() (Sample, error) {
 	return s, nil
 }
 
-// Deterministic reports whether Sample is a pure function of the
-// source's counters: no measurement noise, and no fault-injection hook
-// that could drop whole samples. Round-skipping certification requires
-// it — a monitor that may perturb or fail a sample cannot have its
-// rounds replayed unobserved. The fault layer's Source wrapper always
-// carries the sample-failure hook, so any fault-plan session declines
-// here regardless of the plan's probabilities.
-func (m *Monitor) Deterministic() bool {
-	if m.noise > 0 {
-		return false
-	}
-	_, failer := m.set.src.(sampleFailer)
-	return !failer
-}
-
 func (m *Monitor) noisy(v float64) float64 {
 	if m.noise <= 0 || v == 0 {
 		return v

@@ -117,90 +117,6 @@ func (l *Limiter) Step(power units.Power, dt float64, cur, request units.Frequen
 	return cur
 }
 
-// steadyGuard is the certificate's guard band in watts (scaled by
-// magnitude): it dominates the few-ULP overshoot an EMA update can round
-// past its exact convex hull, while staying far below any physically
-// meaningful distance between an average and a limit.
-const steadyGuard = 1e-9
-
-// Steady reports whether, holding the package power and the programmed
-// limits constant, every future Step provably returns cur unchanged.
-// Each running average moves monotonically toward the power input, so
-// its whole trajectory stays inside the closed hull [min(ema, p),
-// max(ema, p)]; the certificate checks the limit comparisons against the
-// hull's worst end, padded by steadyGuard against floating-point
-// overshoot. A false answer makes no promise — it only declines to
-// certify — so the simulator's straight-line executor falls back to the
-// per-tick reference loop.
-func (l *Limiter) Steady(power units.Power, cur, request units.Frequency) bool {
-	if !l.primed {
-		return false
-	}
-	p := float64(power)
-	lo1, hi1 := hull(l.ema1, p)
-	lo2, hi2 := hull(l.ema2, p)
-	if l.limit.PL1.Enabled && hi1+steadyGuard*(1+hi1) > float64(l.limit.PL1.Limit) {
-		return false
-	}
-	if l.limit.PL2.Enabled && hi2+steadyGuard*(1+hi2) > float64(l.limit.PL2.Limit) {
-		return false
-	}
-	if cur < request {
-		// A raise is possible unless one enabled constraint provably
-		// pins its average at or above the hysteresis band for the whole
-		// trajectory.
-		room := (!l.limit.PL1.Enabled || lo1-steadyGuard*(1+lo1) < float64(l.limit.PL1.Limit)*(1-l.upMargin)) &&
-			(!l.limit.PL2.Enabled || lo2-steadyGuard*(1+lo2) < float64(l.limit.PL2.Limit)*(1-l.upMargin))
-		if room {
-			return false
-		}
-	}
-	return true
-}
-
-// hull returns the closed interval every future EMA value stays in when
-// the input is pinned at p.
-func hull(ema, p float64) (lo, hi float64) {
-	if ema < p {
-		return ema, p
-	}
-	return p, ema
-}
-
-// Advance replays n Step average updates at constant power without the
-// decision logic, bit-identical to n consecutive Step calls with the
-// same (power, dt): same prime path, same gain-cache refresh, same
-// floating-point update order. The straight-line executor calls it once
-// per macro-chunk after Steady has certified that none of those Steps
-// would have changed the delivered frequency.
-func (l *Limiter) Advance(power units.Power, dt float64, n int) {
-	if n <= 0 {
-		return
-	}
-	p := float64(power)
-	if !l.primed {
-		l.ema1, l.ema2 = p, p
-		l.primed = true
-		n--
-	}
-	if n == 0 {
-		return
-	}
-	w1, w2 := l.limit.PL1.Window, l.limit.PL2.Window
-	if !l.gainPrimed || dt != l.gainDT || w1 != l.gainW1 || w2 != l.gainW2 {
-		l.gain1 = ema(dt, w1)
-		l.gain2 = ema(dt, w2)
-		l.gainDT, l.gainW1, l.gainW2 = dt, w1, w2
-		l.gainPrimed = true
-	}
-	e1, e2, g1, g2 := l.ema1, l.ema2, l.gain1, l.gain2
-	for ; n > 0; n-- {
-		e1 += g1 * (p - e1)
-		e2 += g2 * (p - e2)
-	}
-	l.ema1, l.ema2 = e1, e2
-}
-
 // ema returns the exponential-moving-average gain for a step of dt seconds
 // against a window of w seconds.
 func ema(dt, w float64) float64 {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"dufp/internal/control"
 	"dufp/internal/model"
 	"dufp/internal/msr"
 	"dufp/internal/obs/span"
@@ -12,17 +11,12 @@ import (
 )
 
 // steadyCapGov is the benchmark's governor: it programs a fixed package
-// power limit every round and speaks the steadiness contract, so runs
-// can skip the rounds once the register already holds the target — the
-// realistic steady-state shape of a DUFP campaign point.
+// power limit every round — the realistic steady-state shape of a DUFP
+// campaign point.
 type steadyCapGov struct {
 	m   *Machine
 	cpu int
 	raw uint64
-	// wrote records that the register holds raw: this governor is its
-	// only writer, so after the first programmed round every further
-	// round would re-write the identical value.
-	wrote bool
 }
 
 func newSteadyCapGov(m *Machine, socket int, pl1, pl2 units.Power) *steadyCapGov {
@@ -34,20 +28,8 @@ func newSteadyCapGov(m *Machine, socket int, pl1, pl2 units.Power) *steadyCapGov
 }
 
 func (g *steadyCapGov) Tick(time.Duration) error {
-	if err := g.m.MSR().Write(g.cpu, msr.MSRPkgPowerLimit, g.raw); err != nil {
-		return err
-	}
-	g.wrote = true
-	return nil
+	return g.m.MSR().Write(g.cpu, msr.MSRPkgPowerLimit, g.raw)
 }
-
-// SteadyNoOp implements control.RoundSkipper: re-programming a register
-// that already holds the target value is a provable no-op.
-func (g *steadyCapGov) SteadyNoOp(control.Observables) bool { return g.wrote }
-
-// SkipRound implements control.RoundSkipper; the skipped write would
-// have stored the identical value.
-func (g *steadyCapGov) SkipRound(time.Duration) error { return nil }
 
 func benchMachine(b *testing.B, jitterSD float64, d time.Duration) *Machine {
 	b.Helper()

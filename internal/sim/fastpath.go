@@ -12,8 +12,8 @@
 // Power jitter is the one per-tick input a window admits. It touches
 // only the package power the tick settles with (energy, the last power
 // reading and the RAPL limiter's input), never the load or rates the
-// window holds constant, so the joint gear draws it per socket per tick
-// from the socket's own RNG exactly as the reference settle does.
+// window holds constant, so the window draws it per socket per tick from
+// the socket's own RNG exactly as the reference settle does.
 //
 // Events that bound a window are detected on two levels. Run computes the
 // loop-level horizon before entering a window: the next governor
@@ -24,49 +24,13 @@
 // phase boundary (including workload completion). Any condition the fast
 // path cannot prove invariant simply falls back to the exact loop — the
 // fast path is an optimisation, never a second semantics.
-//
-// Within a window the ticks execute in one of two gears. The joint gear
-// interleaves all sockets tick by tick, evaluating the boundary pre-check,
-// the power jitter and the RAPL limiter every tick. The straight-line
-// gear runs whenever the RAPL limiters certify (Steady) that no frequency
-// transition can occur and the phase boundary is provably more than the
-// chunk away: each socket's accumulators then advance in a tight
-// per-socket loop with every per-tick branch hoisted out, and the limiter
-// averages are replayed afterwards in one Advance call. Both gears
-// produce bit-identical state — the per-accumulator floating-point chains
-// are socket-local, so reordering sockets around ticks changes nothing.
-// The limiter certificate holds only at constant power, so a jittered
-// machine runs the joint gear alone.
-//
-// Windows pause at control-round instants when Run has certified the
-// governors' steadiness contract (see internal/control), letting the run
-// skip whole decision rounds; run.go owns that plumbing, and needs
-// constant power for the same reason.
 package sim
 
 import (
-	"time"
-
 	"dufp/internal/model"
 	"dufp/internal/msr"
 	"dufp/internal/units"
 )
-
-// straightPad backs the straight-line boundary bound away from the phase
-// edge by a few ticks, dominating the floating-point drift between the
-// bound's one division and the reference's repeated subtraction.
-const straightPad = 4
-
-// minStraight is the smallest chunk worth switching gears for: below it
-// the limiter certification and write-back overhead exceeds the saved
-// per-tick branches.
-const minStraight = 8
-
-// jointProbe bounds a joint-gear stint so the gear choice is revisited:
-// the straight gear's preconditions can start holding mid-window (the
-// limiters prime on the very first tick), and a single unbounded joint
-// chunk would never notice.
-const jointProbe = 32
 
 // fastSock holds one socket's per-tick constants for the duration of a
 // macro-stepped window. Every field is the exact value the reference
@@ -105,7 +69,7 @@ func (s *Socket) uncoreSteady(memUtil float64) bool {
 // when steady-state cannot be established, in which case the caller must
 // run the exact per-tick loop. The caller guarantees no pending stall.
 // Under power jitter the committed power is the window's unjittered
-// base; the joint gear overwrites it on every tick it runs.
+// base; window overwrites it on every tick it runs.
 func (m *Machine) establish() bool {
 	dt := m.dt
 
@@ -180,170 +144,22 @@ func (m *Machine) establish() bool {
 	return true
 }
 
-// boundaryNext reports whether the next tick would hit the mid-tick
-// phase-boundary pre-check — the one event that fires before a tick
-// consumes any time.
-func (m *Machine) boundaryNext() bool {
-	return m.fastProgress > 0 && m.sockets[0].remaining/m.fastProgress < m.dt
-}
-
 // window advances the established machine by up to w whole ticks and
-// returns the number of ticks consumed. A tick-level event (phase
-// boundary, limiter transition) ends the window early. When roundEvery
-// is positive the window pauses after every roundEvery-th tick strictly
-// inside the window and calls onRound — the certified round-skip hook —
-// with the machine bit-identical to the reference loop's state at that
-// instant; an event tick suppresses the pause so the affected round runs
-// in full from the main loop. onRound's error aborts the window.
-func (m *Machine) window(w, roundEvery int, onRound func() error) (int, error) {
-	n := 0
-	for n < w {
-		pause := w
-		if roundEvery > 0 {
-			if next := n + roundEvery - n%roundEvery; next < pause {
-				pause = next
-			}
-		}
-		k, event := m.chunk(pause - n)
-		n += k
-		if event {
-			break
-		}
-		if n == pause && n < w {
-			if m.boundaryNext() {
-				// The round's last-possible successor tick is mixed; let
-				// the main loop run the round for real before it.
-				break
-			}
-			if err := onRound(); err != nil {
-				return n, err
-			}
-		}
-	}
-	if n > 0 {
-		m.fastTicksRun += int64(n)
-		m.fastWindowsRun++
-	}
-	return n, nil
-}
-
-// fastTicks is the single-gear entry the tests and profiles address: one
-// window with no round pauses.
-func (m *Machine) fastTicks(w int) int {
-	n, _ := m.window(w, 0, nil)
-	return n
-}
-
-// chunk advances up to limit ticks, choosing the gear: straight-line
-// when the limiters certify no transition and the phase boundary is
-// provably out of reach, the joint per-tick loop otherwise. It returns
-// the ticks consumed and whether a tick-level event ended the chunk.
-func (m *Machine) chunk(limit int) (int, bool) {
-	if c := m.straightTicks(limit); c > 0 {
-		m.straightLine(c)
-		return c, false
-	}
-	if limit > jointProbe {
-		limit = jointProbe
-	}
-	return m.jointTicks(limit)
-}
-
-// straightTicks returns how many ticks may run in the straight-line gear
-// (0 to decline): the power must be constant (no jitter), every limiter
-// must certify that no frequency transition can occur at that power, and
-// the phase boundary must be provably further than the chunk plus a
-// safety pad.
-func (m *Machine) straightTicks(limit int) int {
-	if m.cfg.PowerJitterSD != 0 {
-		return 0
-	}
-	c := limit
-	if progress := m.fastProgress; progress > 0 {
-		guard := progress*m.dt + 1e-9
-		for i, s := range m.sockets {
-			f := &m.fast[i]
-			if f.progressStep <= 0 {
-				continue
-			}
-			q := (s.remaining - guard) / f.progressStep
-			if q < float64(c+straightPad) {
-				b := int(q) - straightPad
-				if b < c {
-					c = b
-				}
-			}
-		}
-	}
-	if c < minStraight {
-		return 0
-	}
-	for i, s := range m.sockets {
-		if !s.limiter.Steady(m.fast[i].avgPower, s.coreFreq, s.request) {
-			return 0
-		}
-	}
-	return c
-}
-
-// straightLine advances every socket by c ticks with the per-tick
-// branches hoisted out. The per-accumulator addition chains are exactly
-// the joint gear's — each accumulator is socket-local, so running
-// sockets consecutively instead of interleaved leaves every chain's
-// floating-point sequence unchanged — and the limiter averages are
-// replayed afterwards through Advance, which is bit-identical to the
-// certified sequence of no-op Steps.
-func (m *Machine) straightLine(c int) {
-	dt := m.dt
-	for i, s := range m.sockets {
-		f := &m.fast[i]
-		flops, bytes := s.flops, s.bytes
-		pkgE, dramE := s.pkgEnergy, s.dramEnergy
-		rem := s.remaining
-		busy := s.busySecs
-		coreHzS, uncHzS := s.coreHzSecs, s.uncHzSecs
-		ap, mp := s.aperf, s.mperf
-		for k := 0; k < c; k++ {
-			flops += f.flopDelta
-			bytes += f.byteDelta
-			// pendingEnergy is zero at every tick start, so the
-			// accumulate-then-settle pair collapses to one add of the
-			// constant per-tick energy (0 + pend == pend exactly).
-			pkgE += f.pend
-			dramE += f.pendD
-			rem -= f.progressStep
-			busy += dt
-			coreHzS += f.coreHz
-			uncHzS += f.uncHz
-			ap += f.coreHz
-			mp += f.mperfD
-		}
-		s.flops, s.bytes = flops, bytes
-		s.pkgEnergy, s.dramEnergy = pkgE, dramE
-		s.remaining = rem
-		s.busySecs = busy
-		s.coreHzSecs, s.uncHzSecs = coreHzS, uncHzS
-		s.aperf, s.mperf = ap, mp
-		s.limiter.Advance(f.avgPower, dt, c)
-	}
-	m.now += time.Duration(c) * m.cfg.Tick
-}
-
-// jointTicks is the joint gear: up to limit ticks with all sockets
-// interleaved per tick, the boundary pre-check, the power jitter and the
-// RAPL limiter evaluated every tick — the reference accumulation,
-// verbatim. It returns the ticks consumed and whether an event ended the
-// chunk.
-func (m *Machine) jointTicks(limit int) (int, bool) {
+// returns the number of ticks consumed: all sockets interleaved per
+// tick, with the boundary pre-check, the power jitter and the RAPL
+// limiter evaluated every tick — the reference accumulation, verbatim.
+// A tick-level event (phase boundary, limiter transition) ends the
+// window early.
+func (m *Machine) window(w int) int {
 	dt := m.dt
 	progress := m.fastProgress
 	jitterSD := m.cfg.PowerJitterSD
 	n := 0
-	for n < limit {
+	for n < w {
 		// A partial step inside this tick means a phase boundary: the
 		// exact loop owns mixed ticks.
 		if progress > 0 && m.sockets[0].remaining/progress < dt {
-			return n, true
+			break
 		}
 		boundary := false
 		for i, s := range m.sockets {
@@ -404,10 +220,14 @@ func (m *Machine) jointTicks(limit int) (int, bool) {
 		}
 		m.now += m.cfg.Tick
 		if boundary || transition {
-			return n, true
+			break
 		}
 	}
-	return n, false
+	if n > 0 {
+		m.fastTicksRun += int64(n)
+		m.fastWindowsRun++
+	}
+	return n
 }
 
 // FastTicks returns the number of physics ticks of the most recent run
@@ -418,7 +238,3 @@ func (m *Machine) FastTicks() int64 { return m.fastTicksRun }
 // FastWindows returns the number of macro-stepped windows of the most
 // recent run.
 func (m *Machine) FastWindows() int64 { return m.fastWindowsRun }
-
-// SkippedRounds returns the number of governor control rounds of the
-// most recent run that were skipped under the steadiness contract.
-func (m *Machine) SkippedRounds() int64 { return m.skippedRoundsRun }

@@ -96,12 +96,8 @@ type Machine struct {
 	fastTicksRun   int64
 	fastWindowsRun int64
 	// fastProgress is the global progress rate of the currently
-	// established window, stashed by establish for the window executors.
+	// established window, stashed by establish for window.
 	fastProgress float64
-	// skippedRoundsRun counts governor control rounds of the current run
-	// skipped under the steadiness contract (see internal/control),
-	// flushed to telemetry at the end of Run.
-	skippedRoundsRun int64
 }
 
 // New builds a machine and wires the architectural MSRs of every package.
@@ -170,7 +166,7 @@ func (m *Machine) Reset(cfg Config) bool {
 	m.rng.Seed(cfg.Seed)
 	m.now, m.stall = 0, 0
 	m.clampTicks = 0
-	m.fastTicksRun, m.fastWindowsRun, m.skippedRoundsRun = 0, 0, 0
+	m.fastTicksRun, m.fastWindowsRun = 0, 0
 	m.fastProgress = 0
 	for i := range m.fast {
 		m.fast[i] = fastSock{}

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"dufp/internal/control"
 	"dufp/internal/obs"
 	"dufp/internal/obs/span"
-	"dufp/internal/papi"
 	"dufp/internal/units"
 )
 
@@ -34,8 +32,6 @@ var (
 		"sim_fast_ticks_total", "physics ticks advanced by the event-horizon macro-step").With()
 	simFastWindowsTotal = obs.Default().Counter(
 		"sim_fast_windows_total", "event-horizon macro-step windows executed").With()
-	simSkippedRoundsTotal = obs.Default().Counter(
-		"sim_skipped_rounds_total", "governor control rounds skipped under the steadiness contract").With()
 )
 
 // The former sim_ticks_per_second gauge is gone: a last-writer-wins gauge
@@ -180,38 +176,6 @@ func (m *Machine) stepPhysics(dt float64) {
 	}
 }
 
-// certify asks every governor's steadiness contract whether its next
-// decision round is a provable no-op under the established window's
-// frozen observables. The sample handed to each certifier is the exact
-// steady-state value its monitor would measure over a full control
-// period of the window — the per-tick rates establish committed — so a
-// certificate extends to every round the window pauses at: the skipped
-// rounds themselves change no observable the certificate depends on.
-func (m *Machine) certify(skippers []control.RoundSkipper, period time.Duration) bool {
-	for i, rs := range skippers {
-		if rs == nil {
-			continue
-		}
-		s := m.sockets[i]
-		f := &m.fast[i]
-		o := control.Observables{
-			Sample: papi.Sample{
-				Interval:  period,
-				FlopRate:  f.fr,
-				Bandwidth: f.bw,
-				PkgPower:  f.avgPower,
-				DramPower: f.dram,
-			},
-			CoreFreq:   s.coreFreq,
-			UncoreFreq: s.uncoreFreq,
-		}
-		if !rs.SteadyNoOp(o) {
-			return false
-		}
-	}
-	return true
-}
-
 // Run executes the loaded workload to completion.
 func (m *Machine) Run(opts RunOpts) (Result, error) {
 	if len(opts.Governors) != 0 && len(opts.Governors) != len(m.sockets) {
@@ -246,63 +210,17 @@ func (m *Machine) Run(opts RunOpts) (Result, error) {
 	maxTicks := int(m.cfg.MaxDuration / m.cfg.Tick)
 	m.clampTicks = 0
 	m.fastTicksRun, m.fastWindowsRun = 0, 0
-	m.skippedRoundsRun = 0
 	// ExactLoop is the explicit opt-out of the macro-step (fault plans,
 	// reference runs).
 	fastOK := !opts.ExactLoop
 
-	// Round skipping needs every governor to speak the steadiness
-	// contract, constant power and no per-round side channel: the
-	// certificates hold only while the package power stays put, which
-	// jitter breaks every tick; a monitoring stall would perturb the
-	// physics of the skipped rounds; and a trace needs the real per-tick
-	// cadence anyway.
-	var skippers []control.RoundSkipper
-	skipOK := fastOK && m.cfg.PowerJitterSD == 0 && ctrlTicks > 0 && opts.GovernorOverhead == 0 && opts.Trace == nil
-	if skipOK {
-		skippers = make([]control.RoundSkipper, len(opts.Governors))
-		for i, g := range opts.Governors {
-			if g == nil {
-				continue
-			}
-			rs, ok := g.(control.RoundSkipper)
-			if !ok {
-				skipOK = false
-				skippers = nil
-				break
-			}
-			skippers[i] = rs
-		}
-	}
-	roundPeriod := time.Duration(ctrlTicks) * m.cfg.Tick
-	// skippedSince counts certified rounds advanced past since the last
-	// real round, for the span record; onRound replays each governor's
-	// round-skip hook with the machine paused bit-identically at the
-	// round instant.
-	skippedSince := 0
-	onRound := func() error {
-		for i, rs := range skippers {
-			if rs == nil {
-				continue
-			}
-			if err := rs.SkipRound(m.now); err != nil {
-				return fmt.Errorf("sim: skipping round for socket %d at %v: %w", i, m.now, err)
-			}
-		}
-		skippedSince++
-		m.skippedRoundsRun++
-		return nil
-	}
-
 	wallStart := time.Now()
 	tick := 0
-	checkCancel := false
 	for ; !m.done(); tick++ {
 		if tick >= maxTicks {
 			return Result{}, fmt.Errorf("sim: run exceeded MaxDuration %v", m.cfg.MaxDuration)
 		}
-		if opts.Ctx != nil && (checkCancel || tick%cancelTicks == 0) {
-			checkCancel = false
+		if opts.Ctx != nil && tick%cancelTicks == 0 {
 			if err := opts.Ctx.Err(); err != nil {
 				return Result{}, err
 			}
@@ -313,45 +231,24 @@ func (m *Machine) Run(opts RunOpts) (Result, error) {
 			// window may end ON a governor or trace tick — both fire after
 			// that tick's physics, from state the macro-step fully
 			// materialises — but must stop short of the next cancellation
-			// check, which runs before its tick. A certified window is
-			// exempt from the governor and cancellation clamps: it pauses
-			// at every round instant itself, and the cancellation check
-			// runs as soon as it returns.
+			// check, which runs before its tick.
 			w := maxTicks - tick
-			roundEvery := 0
-			if skipOK && tick%ctrlTicks == 0 && m.certify(skippers, roundPeriod) {
-				roundEvery = ctrlTicks
-			} else {
-				if opts.Ctx != nil {
-					if d := cancelTicks - tick%cancelTicks; d < w {
-						w = d
-					}
-				}
-				if ctrlTicks > 0 {
-					if d := ctrlTicks - tick%ctrlTicks; d < w {
-						w = d
-					}
-				}
-				if opts.Trace != nil {
-					d := 1
-					if r := tick % traceEvery; r != 0 {
-						d = traceEvery - r + 1
-					}
-					if d < w {
-						w = d
-					}
-				}
+			if opts.Ctx != nil {
+				w = min(w, cancelTicks-tick%cancelTicks)
 			}
-			n, err := m.window(w, roundEvery, onRound)
-			if err != nil {
-				return Result{}, err
+			if ctrlTicks > 0 {
+				w = min(w, ctrlTicks-tick%ctrlTicks)
 			}
-			if n > 0 {
+			if opts.Trace != nil {
+				d := 1
+				if r := tick % traceEvery; r != 0 {
+					d = traceEvery - r + 1
+				}
+				w = min(w, d)
+			}
+			if n := m.window(w); n > 0 {
 				tick += n - 1
 				stepped = true
-				if roundEvery > 0 {
-					checkCancel = true
-				}
 			}
 		}
 		if !stepped {
@@ -392,11 +289,7 @@ func (m *Machine) Run(opts RunOpts) (Result, error) {
 					OI:       oi,
 					CapW:     lim.PL1.Limit.Watts(),
 					UncoreHz: float64(s0.uncoreFreq),
-					Skipped:  skippedSince,
 				})
-			}
-			if ran {
-				skippedSince = 0
 			}
 		}
 		if opts.Trace != nil && tick%traceEvery == 0 {
@@ -417,19 +310,11 @@ func (m *Machine) Run(opts RunOpts) (Result, error) {
 		}
 	}
 
-	// Skips after the last real round have no Round record to ride on.
-	if opts.Spans != nil && skippedSince > 0 {
-		opts.Spans.AddSkippedRounds(skippedSince)
-	}
-
 	simRunsTotal.Inc()
 	simTicksTotal.Add(float64(tick))
 	simClampTicksTotal.Add(float64(m.clampTicks))
 	simFastTicksTotal.Add(float64(m.fastTicksRun))
 	simFastWindowsTotal.Add(float64(m.fastWindowsRun))
-	if m.skippedRoundsRun > 0 {
-		simSkippedRoundsTotal.Add(float64(m.skippedRoundsRun))
-	}
 	if wall := time.Since(wallStart).Seconds(); wall > 0 {
 		simWallSecondsTotal.Add(wall)
 	}
