@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 tier1-faults tier1-api tier1-obs build test short race vet cover bench bench-api bench-mem bench-smoke bench-scaling bench-cache bench-traffic-selftest
+.PHONY: all tier1 tier1-faults tier1-api tier1-obs build test short race vet fuzz cover bench bench-api bench-mem bench-smoke bench-scaling bench-cache bench-traffic-selftest
 
 all: tier1 race vet
 
@@ -51,6 +51,14 @@ vet:
 	$(GO) -C trafficbench vet ./...
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
+
+# fuzz runs each native fuzz target for 15 s. Both are differential: the
+# simulator's copy of math/rand's jitter generator against math/rand
+# itself, and the RAPL limiter's kernel-built Step against its reference
+# oracle. Their committed seed inputs also run under `make test`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzJitterRNG$$' -fuzztime 15s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzLimiterKernel$$' -fuzztime 15s ./internal/rapl/
 
 # cover enforces a floor on the telemetry layer's test coverage: the
 # registry and timeline are pure data plumbing, so near-total coverage is

@@ -263,7 +263,7 @@ func BenchmarkPackagePower(b *testing.B) {
 	load := model.Load{FlopUtil: 0.3, MemUtil: 0.6}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = p.PackagePower(spec, 2.5*units.Gigahertz, 2.0*units.Gigahertz, load)
+		_ = p.PackagePower(&spec, 2.5*units.Gigahertz, 2.0*units.Gigahertz, load)
 	}
 }
 

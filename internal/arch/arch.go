@@ -13,7 +13,10 @@ import (
 	"dufp/internal/units"
 )
 
-// Spec describes one processor package (socket) model.
+// Spec describes one processor package (socket) model. The methods the
+// simulator calls per tick or per window (ClampCoreFreq, ClampUncoreFreq,
+// PeakFlops) take a pointer: a value receiver copies all of Spec on every
+// call, even inlined.
 type Spec struct {
 	// Name is the marketing name of the processor model.
 	Name string
@@ -158,13 +161,14 @@ func (s Spec) UncoreSteps() int {
 }
 
 // ClampCoreFreq snaps f onto the core P-state ladder: clamped to the legal
-// range and rounded down to a step multiple above the minimum.
-func (s Spec) ClampCoreFreq(f units.Frequency) units.Frequency {
+// range and rounded to the nearest step multiple above the minimum, a tie
+// rounding up (2.75 GHz becomes 2.8 GHz on a 100 MHz ladder from 1 GHz).
+func (s *Spec) ClampCoreFreq(f units.Frequency) units.Frequency {
 	return snap(f, s.MinCoreFreq, s.MaxCoreFreq, s.CoreFreqStep)
 }
 
 // ClampUncoreFreq snaps f onto the uncore ratio ladder.
-func (s Spec) ClampUncoreFreq(f units.Frequency) units.Frequency {
+func (s *Spec) ClampUncoreFreq(f units.Frequency) units.Frequency {
 	return snap(f, s.MinUncoreFreq, s.MaxUncoreFreq, s.UncoreFreqStep)
 }
 
@@ -175,7 +179,7 @@ func snap(f, lo, hi, step units.Frequency) units.Frequency {
 }
 
 // PeakFlops returns the peak FLOP rate of the socket at core frequency f.
-func (s Spec) PeakFlops(f units.Frequency) units.FlopRate {
+func (s *Spec) PeakFlops(f units.Frequency) units.FlopRate {
 	return units.FlopRate(float64(f) * s.FlopsPerCyclePerCore * float64(s.Cores))
 }
 

@@ -180,12 +180,17 @@ func MustCompile(spec arch.Spec, shape PhaseShape) Kinetics {
 }
 
 // Shape returns the shape the kinetics were compiled from.
-func (k Kinetics) Shape() PhaseShape { return k.shape }
+func (k *Kinetics) Shape() PhaseShape { return k.shape }
+
+// ActivityExtra returns the shape's additive switching-activity term, the
+// one shape field the simulator reads per operating point, without
+// copying the shape.
+func (k *Kinetics) ActivityExtra() float64 { return k.shape.ActivityExtra }
 
 // bwScale returns the bandwidth derating at (f, u) relative to the default
 // operating point.
-func (k Kinetics) bwScale(f, u units.Frequency) float64 {
-	sh := k.shape
+func (k *Kinetics) bwScale(f, u units.Frequency) float64 {
+	sh := &k.shape
 	scale := 1.0
 
 	// Uncore knee: linear collapse below the knee frequency.
@@ -209,8 +214,8 @@ func (k Kinetics) bwScale(f, u units.Frequency) float64 {
 }
 
 // compScale returns the compute-rate derating at (f, u).
-func (k Kinetics) compScale(f, u units.Frequency) float64 {
-	sh := k.shape
+func (k *Kinetics) compScale(f, u units.Frequency) float64 {
+	sh := &k.shape
 	scale := float64(f) / float64(k.f0)
 	if sh.UncoreLatSens > 0 {
 		scale *= (1 - sh.UncoreLatSens) + sh.UncoreLatSens*float64(u)/float64(k.u0)
@@ -219,7 +224,7 @@ func (k Kinetics) compScale(f, u units.Frequency) float64 {
 }
 
 // At evaluates the phase's rates at core frequency f and uncore frequency u.
-func (k Kinetics) At(f, u units.Frequency) Rates {
+func (k *Kinetics) At(f, u units.Frequency) Rates {
 	var tc, tm float64
 	if k.compRate0 > 0 && k.Flops > 0 {
 		tc = k.Flops / (k.compRate0 * k.compScale(f, u))

@@ -235,8 +235,12 @@ func TestSlowdownNeverExceedsFrequencyRatioQuick(t *testing.T) {
 func TestShapeAccessor(t *testing.T) {
 	spec := arch.XeonGold6130()
 	sh := testShape()
+	sh.ActivityExtra = 0.15
 	k := MustCompile(spec, sh)
 	if k.Shape().Name != sh.Name {
 		t.Fatal("Shape() lost the shape")
+	}
+	if k.ActivityExtra() != sh.ActivityExtra {
+		t.Fatalf("ActivityExtra() = %v, want %v", k.ActivityExtra(), sh.ActivityExtra)
 	}
 }

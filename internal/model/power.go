@@ -104,18 +104,18 @@ func clamp01(x float64) float64 {
 }
 
 // CoreVolt returns the core voltage at frequency f.
-func (p PowerParams) CoreVolt(f units.Frequency) float64 {
+func (p *PowerParams) CoreVolt(f units.Frequency) float64 {
 	return p.VoltBase + p.VoltSlope*f.GHz()
 }
 
 // UncoreVolt returns the uncore voltage at frequency u.
-func (p PowerParams) UncoreVolt(u units.Frequency) float64 {
+func (p *PowerParams) UncoreVolt(u units.Frequency) float64 {
 	return p.UncoreVoltBase + p.UncoreVoltSlope*u.GHz()
 }
 
 // PackagePower returns the package (core + uncore + static) power of spec
 // running load at core frequency f and uncore frequency u.
-func (p PowerParams) PackagePower(spec arch.Spec, f, u units.Frequency, load Load) units.Power {
+func (p *PowerParams) PackagePower(spec *arch.Spec, f, u units.Frequency, load Load) units.Power {
 	a := p.ActivityBase + p.ActivityFlops*clamp01(load.FlopUtil) + p.ActivityMem*clamp01(load.MemUtil) + load.ActivityExtra
 	v := p.CoreVolt(f)
 	corePer := p.CoreDynCoeff*a*v*v*f.GHz() + p.CoreLeakCoeff*v
@@ -129,7 +129,7 @@ func (p PowerParams) PackagePower(spec arch.Spec, f, u units.Frequency, load Loa
 }
 
 // DramPower returns the DRAM power of one NUMA node moving bw of traffic.
-func (p PowerParams) DramPower(bw units.Bandwidth) units.Power {
+func (p *PowerParams) DramPower(bw units.Bandwidth) units.Power {
 	return p.DramStatic + units.Power(p.DramPerGBs*bw.GBs())
 }
 
@@ -138,10 +138,10 @@ func (p PowerParams) DramPower(bw units.Bandwidth) units.Power {
 // budget, assuming the load stays fixed. It returns the minimum frequency
 // when even that exceeds the budget. This is the planning primitive RAPL
 // firmware effectively implements with its running-average controller.
-func (p PowerParams) FrequencyForPower(spec arch.Spec, u units.Frequency, load Load, budget units.Power) units.Frequency {
+func (p *PowerParams) FrequencyForPower(spec arch.Spec, u units.Frequency, load Load, budget units.Power) units.Frequency {
 	f := spec.MaxCoreFreq
 	for f > spec.MinCoreFreq {
-		if p.PackagePower(spec, f, u, load) <= budget {
+		if p.PackagePower(&spec, f, u, load) <= budget {
 			return f
 		}
 		f -= spec.CoreFreqStep
@@ -151,8 +151,8 @@ func (p PowerParams) FrequencyForPower(spec arch.Spec, u units.Frequency, load L
 
 // MaxPower returns the model's worst-case package power (full activity at
 // maximum frequencies), useful for headroom checks and tests.
-func (p PowerParams) MaxPower(spec arch.Spec) units.Power {
-	return p.PackagePower(spec, spec.MaxCoreFreq, spec.MaxUncoreFreq, Load{FlopUtil: 1, MemUtil: 1})
+func (p *PowerParams) MaxPower(spec arch.Spec) units.Power {
+	return p.PackagePower(&spec, spec.MaxCoreFreq, spec.MaxUncoreFreq, Load{FlopUtil: 1, MemUtil: 1})
 }
 
 // EnergyOver integrates power over dt seconds.

@@ -15,7 +15,7 @@ func TestPackagePowerMonotonicInFrequency(t *testing.T) {
 	load := Load{FlopUtil: 0.5, MemUtil: 0.5}
 	prev := units.Power(0)
 	for f := spec.MinCoreFreq; f <= spec.MaxCoreFreq; f += spec.CoreFreqStep {
-		got := p.PackagePower(spec, f, spec.MaxUncoreFreq, load)
+		got := p.PackagePower(&spec, f, spec.MaxUncoreFreq, load)
 		if got <= prev {
 			t.Fatalf("power not increasing at f=%v: %v after %v", f, got, prev)
 		}
@@ -29,7 +29,7 @@ func TestPackagePowerMonotonicInUncore(t *testing.T) {
 	load := Load{FlopUtil: 0.2, MemUtil: 0.8}
 	prev := units.Power(0)
 	for u := spec.MinUncoreFreq; u <= spec.MaxUncoreFreq; u += spec.UncoreFreqStep {
-		got := p.PackagePower(spec, spec.MaxCoreFreq, u, load)
+		got := p.PackagePower(&spec, spec.MaxCoreFreq, u, load)
 		if got <= prev {
 			t.Fatalf("power not increasing at u=%v: %v after %v", u, got, prev)
 		}
@@ -41,12 +41,12 @@ func TestPackagePowerMonotonicInLoad(t *testing.T) {
 	p := DefaultPowerParams()
 	spec := arch.XeonGold6130()
 	f, u := spec.MaxCoreFreq, spec.MaxUncoreFreq
-	idle := p.PackagePower(spec, f, u, Load{})
-	busy := p.PackagePower(spec, f, u, Load{FlopUtil: 1, MemUtil: 1})
+	idle := p.PackagePower(&spec, f, u, Load{})
+	busy := p.PackagePower(&spec, f, u, Load{FlopUtil: 1, MemUtil: 1})
 	if busy <= idle {
 		t.Fatalf("busy power %v not above idle %v", busy, idle)
 	}
-	extra := p.PackagePower(spec, f, u, Load{FlopUtil: 1, MemUtil: 1, ActivityExtra: 0.2})
+	extra := p.PackagePower(&spec, f, u, Load{FlopUtil: 1, MemUtil: 1, ActivityExtra: 0.2})
 	if extra <= busy {
 		t.Fatalf("ActivityExtra did not raise power: %v vs %v", extra, busy)
 	}
@@ -58,13 +58,13 @@ func TestCalibrationAnchors(t *testing.T) {
 	// stays within the short-term limit's reach.
 	p := DefaultPowerParams()
 	spec := arch.XeonGold6130()
-	hpl := p.PackagePower(spec, spec.MaxCoreFreq, spec.MaxUncoreFreq, Load{FlopUtil: 0.74, MemUtil: 0.10})
+	hpl := p.PackagePower(&spec, spec.MaxCoreFreq, spec.MaxUncoreFreq, Load{FlopUtil: 0.74, MemUtil: 0.10})
 	if hpl < spec.DefaultPL1*0.94 || hpl > spec.DefaultPL2 {
 		t.Errorf("HPL-like load draws %v, want ≈PL1 (%v..%v)", hpl, spec.DefaultPL1, spec.DefaultPL2)
 	}
 	// Uncore span at low traffic covers the ≈13-16 W DUF recovers on EP.
-	atMax := p.PackagePower(spec, spec.MaxCoreFreq, spec.MaxUncoreFreq, Load{FlopUtil: 0.08})
-	atMin := p.PackagePower(spec, spec.MaxCoreFreq, spec.MinUncoreFreq, Load{FlopUtil: 0.08})
+	atMax := p.PackagePower(&spec, spec.MaxCoreFreq, spec.MaxUncoreFreq, Load{FlopUtil: 0.08})
+	atMin := p.PackagePower(&spec, spec.MaxCoreFreq, spec.MinUncoreFreq, Load{FlopUtil: 0.08})
 	if span := float64(atMax - atMin); span < 10 || span > 20 {
 		t.Errorf("uncore power span = %.1f W, want 10..20 W", span)
 	}
@@ -74,13 +74,13 @@ func TestLoadClamping(t *testing.T) {
 	p := DefaultPowerParams()
 	spec := arch.XeonGold6130()
 	f, u := spec.MaxCoreFreq, spec.MaxUncoreFreq
-	over := p.PackagePower(spec, f, u, Load{FlopUtil: 5, MemUtil: 7})
-	capped := p.PackagePower(spec, f, u, Load{FlopUtil: 1, MemUtil: 1})
+	over := p.PackagePower(&spec, f, u, Load{FlopUtil: 5, MemUtil: 7})
+	capped := p.PackagePower(&spec, f, u, Load{FlopUtil: 1, MemUtil: 1})
 	if over != capped {
 		t.Fatalf("utilisation not clamped: %v vs %v", over, capped)
 	}
-	neg := p.PackagePower(spec, f, u, Load{FlopUtil: -3, MemUtil: -1})
-	zero := p.PackagePower(spec, f, u, Load{})
+	neg := p.PackagePower(&spec, f, u, Load{FlopUtil: -3, MemUtil: -1})
+	zero := p.PackagePower(&spec, f, u, Load{})
 	if neg != zero {
 		t.Fatalf("negative utilisation not clamped: %v vs %v", neg, zero)
 	}
@@ -111,12 +111,12 @@ func TestFrequencyForPowerInverse(t *testing.T) {
 		}
 		// Either the budget is met, or even the minimum frequency exceeds
 		// it (the limiter can do no more).
-		if p.PackagePower(spec, f, spec.MaxUncoreFreq, load) <= budget {
+		if p.PackagePower(&spec, f, spec.MaxUncoreFreq, load) <= budget {
 			// The next step up must violate, unless already at max.
 			if f == spec.MaxCoreFreq {
 				return true
 			}
-			return p.PackagePower(spec, f+spec.CoreFreqStep, spec.MaxUncoreFreq, load) > budget
+			return p.PackagePower(&spec, f+spec.CoreFreqStep, spec.MaxUncoreFreq, load) > budget
 		}
 		return f == spec.MinCoreFreq
 	}
@@ -141,7 +141,7 @@ func TestMaxPowerDominates(t *testing.T) {
 	max := p.MaxPower(spec)
 	for _, load := range []Load{{}, {FlopUtil: 1}, {MemUtil: 1}, {FlopUtil: 0.5, MemUtil: 0.5}} {
 		for f := spec.MinCoreFreq; f <= spec.MaxCoreFreq; f += 4 * spec.CoreFreqStep {
-			if got := p.PackagePower(spec, f, spec.MaxUncoreFreq, load); got > max {
+			if got := p.PackagePower(&spec, f, spec.MaxUncoreFreq, load); got > max {
 				t.Fatalf("PackagePower(%v, %+v) = %v exceeds MaxPower %v", f, load, got, max)
 			}
 		}

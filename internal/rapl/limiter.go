@@ -7,6 +7,8 @@
 package rapl
 
 import (
+	"math"
+
 	"dufp/internal/arch"
 	"dufp/internal/msr"
 	"dufp/internal/units"
@@ -23,24 +25,43 @@ type Limiter struct {
 	spec  arch.Spec
 	limit msr.PkgPowerLimit
 
-	ema1, ema2 float64 // running average power per constraint, watts
-	primed     bool
-
 	// upMargin is the hysteresis fraction: frequency is only raised while
 	// both averages sit below limit·(1-upMargin), avoiding hunting at the
 	// cap.
 	upMargin float64
 
-	// Cached EMA gains: dt and the windows are fixed across a run, so the
-	// two divisions in ema() are paid once per (dt, windows) combination
-	// instead of twice per tick. A hit returns the very float64 a fresh
-	// ema() call would.
-	gainDT     float64
-	gainW1     float64
-	gainW2     float64
-	gain1      float64
-	gain2      float64
-	gainPrimed bool
+	// k holds the running averages and Step specialised to the operating
+	// point of the latest call.
+	k Kernel
+}
+
+// Kernel is one limiter's enforcement step at a fixed operating point:
+// the tick length dt, the programmed limits, the delivered frequency cur
+// and the requested frequency. Everything Step derives from those four —
+// the EMA gains, the over-limit and hysteresis thresholds and both
+// candidate next frequencies — is computed when the kernel is built, so a
+// tick costs two EMA updates and a few comparisons and returns, bit for
+// bit, what evaluating the decision from the limits would. A
+// macro-stepped window of the simulator holds all four inputs fixed (any
+// frequency transition ends it) and steps the kernel directly.
+type Kernel struct {
+	ema1, ema2 float64 // running average power per constraint, watts
+	primed     bool
+
+	// The operating point the fields below were derived from; built is
+	// false after Reset and SetLimits.
+	built        bool
+	dt           float64
+	cur, request units.Frequency
+
+	gain1, gain2 float64 // EMA gains ema(dt, window)
+	// over1 and over2 are the limits an average must exceed to lower the
+	// frequency, +Inf for a disabled constraint: no float64 exceeds it,
+	// so the comparison alone is Step's "enabled and above the limit".
+	over1, over2 float64
+	off1, off2   bool            // constraint disabled: its room test passes
+	room1, room2 float64         // limit·(1-upMargin): below both, cur may rise
+	down, up     units.Frequency // next frequency when over / with room
 }
 
 // NewLimiter creates an enforcement loop for one package with the factory
@@ -52,8 +73,9 @@ func NewLimiter(spec arch.Spec) *Limiter {
 }
 
 // Reset restores the limiter to its factory state — programmed defaults,
-// unprimed averages, cold gain cache — exactly as NewLimiter leaves it, so
-// a pooled simulator can reuse the limiter in place without allocating.
+// unprimed averages, no kernel built — exactly as NewLimiter leaves it,
+// so a pooled simulator can reuse the limiter in place without
+// allocating.
 func (l *Limiter) Reset() {
 	*l = Limiter{
 		spec:     l.spec,
@@ -71,14 +93,17 @@ func DefaultLimits(spec arch.Spec) msr.PkgPowerLimit {
 }
 
 // SetLimits reprograms the constraints (the MSR 0x610 write path).
-func (l *Limiter) SetLimits(pl msr.PkgPowerLimit) { l.limit = pl }
+func (l *Limiter) SetLimits(pl msr.PkgPowerLimit) {
+	l.limit = pl
+	l.k.built = false
+}
 
 // Limits returns the currently programmed constraints.
 func (l *Limiter) Limits() msr.PkgPowerLimit { return l.limit }
 
 // Averages returns the current PL1- and PL2-window running averages.
 func (l *Limiter) Averages() (units.Power, units.Power) {
-	return units.Power(l.ema1), units.Power(l.ema2)
+	return units.Power(l.k.ema1), units.Power(l.k.ema2)
 }
 
 // Step advances the enforcement loop by dt seconds during which the package
@@ -87,34 +112,59 @@ func (l *Limiter) Averages() (units.Power, units.Power) {
 // maximum). It returns the frequency to deliver next tick, moving at most
 // one P-state per call, which bounds the actuation slew rate.
 func (l *Limiter) Step(power units.Power, dt float64, cur, request units.Frequency) units.Frequency {
-	p := float64(power)
-	if !l.primed {
-		l.ema1, l.ema2 = p, p
-		l.primed = true
-	} else {
-		w1, w2 := l.limit.PL1.Window, l.limit.PL2.Window
-		if !l.gainPrimed || dt != l.gainDT || w1 != l.gainW1 || w2 != l.gainW2 {
-			l.gain1 = ema(dt, w1)
-			l.gain2 = ema(dt, w2)
-			l.gainDT, l.gainW1, l.gainW2 = dt, w1, w2
-			l.gainPrimed = true
+	return l.Kernel(dt, cur, request).Step(power)
+}
+
+// Kernel returns the limiter's step kernel for ticks of dt seconds at
+// delivered frequency cur and requested frequency request under the
+// current limits, rebuilding it when any of those changed since the last
+// call. The kernel stays valid until the next SetLimits or Reset, or a
+// Kernel or Step call with other inputs.
+func (l *Limiter) Kernel(dt float64, cur, request units.Frequency) *Kernel {
+	k := &l.k
+	if !k.built || dt != k.dt || cur != k.cur || request != k.request {
+		pl1, pl2 := l.limit.PL1, l.limit.PL2
+		k.built, k.dt, k.cur, k.request = true, dt, cur, request
+		k.gain1, k.gain2 = ema(dt, pl1.Window), ema(dt, pl2.Window)
+		k.off1, k.off2 = !pl1.Enabled, !pl2.Enabled
+		k.over1, k.over2 = math.Inf(1), math.Inf(1)
+		if pl1.Enabled {
+			k.over1 = float64(pl1.Limit)
 		}
-		l.ema1 += l.gain1 * (p - l.ema1)
-		l.ema2 += l.gain2 * (p - l.ema2)
+		if pl2.Enabled {
+			k.over2 = float64(pl2.Limit)
+		}
+		k.room1 = float64(pl1.Limit) * (1 - l.upMargin)
+		k.room2 = float64(pl2.Limit) * (1 - l.upMargin)
+		k.down = l.spec.ClampCoreFreq(cur - l.spec.CoreFreqStep)
+		k.up = cur
+		if cur < request {
+			k.up = l.spec.ClampCoreFreq(cur + l.spec.CoreFreqStep)
+		}
 	}
+	return k
+}
 
-	over := (l.limit.PL1.Enabled && l.ema1 > float64(l.limit.PL1.Limit)) ||
-		(l.limit.PL2.Enabled && l.ema2 > float64(l.limit.PL2.Limit))
-	if over {
-		return l.spec.ClampCoreFreq(cur - l.spec.CoreFreqStep)
+// Step is Limiter.Step at the kernel's operating point: it folds one
+// tick's power into the running averages (the first tick after a reset
+// primes them) and returns the frequency to deliver next tick. It is kept
+// within the compiler's inlining budget, so a caller's tick loop pays no
+// call for it.
+func (k *Kernel) Step(power units.Power) units.Frequency {
+	p := float64(power)
+	if !k.primed {
+		k.ema1, k.ema2, k.primed = p, p, true
+	} else {
+		k.ema1 += k.gain1 * (p - k.ema1)
+		k.ema2 += k.gain2 * (p - k.ema2)
 	}
-
-	room := (!l.limit.PL1.Enabled || l.ema1 < float64(l.limit.PL1.Limit)*(1-l.upMargin)) &&
-		(!l.limit.PL2.Enabled || l.ema2 < float64(l.limit.PL2.Limit)*(1-l.upMargin))
-	if room && cur < request {
-		return l.spec.ClampCoreFreq(cur + l.spec.CoreFreqStep)
+	if k.ema1 > k.over1 || k.ema2 > k.over2 {
+		return k.down
 	}
-	return cur
+	if (k.off1 || k.ema1 < k.room1) && (k.off2 || k.ema2 < k.room2) {
+		return k.up
+	}
+	return k.cur
 }
 
 // ema returns the exponential-moving-average gain for a step of dt seconds

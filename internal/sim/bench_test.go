@@ -31,11 +31,11 @@ func (g *steadyCapGov) Tick(time.Duration) error {
 	return g.m.MSR().Write(g.cpu, msr.MSRPkgPowerLimit, g.raw)
 }
 
-func benchMachine(b *testing.B, jitterSD float64, d time.Duration) *Machine {
+// benchMachine builds a default machine, 0.4 W power jitter included, as
+// every workload runs it, loaded with a steady phase of length d.
+func benchMachine(b *testing.B, d time.Duration) *Machine {
 	b.Helper()
-	cfg := DefaultConfig()
-	cfg.PowerJitterSD = jitterSD
-	m, err := New(cfg)
+	m, err := New(DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func benchMachine(b *testing.B, jitterSD float64, d time.Duration) *Machine {
 // BenchmarkStepPhysics measures one reference tick at a steady operating
 // point — the unit of work the macro-step elides.
 func BenchmarkStepPhysics(b *testing.B) {
-	m := benchMachine(b, 0, time.Hour)
+	m := benchMachine(b, time.Hour)
 	m.cfg.MaxDuration = 100 * time.Hour
 	dt := m.dt
 	b.ReportAllocs()
@@ -69,7 +69,7 @@ func BenchmarkRunUngoverned(b *testing.B) {
 	}{{"fast", false}, {"exact", true}} {
 		b.Run(sub.name, func(b *testing.B) {
 			const simSecs = 2.0
-			m := benchMachine(b, 0, time.Duration(simSecs*float64(time.Second)))
+			m := benchMachine(b, time.Duration(simSecs*float64(time.Second)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -92,7 +92,7 @@ func BenchmarkRunUngoverned(b *testing.B) {
 // shape, where windows are bounded by decision rounds.
 func BenchmarkRunGoverned(b *testing.B) {
 	const simSecs = 2.0
-	m := benchMachine(b, 0, time.Duration(simSecs*float64(time.Second)))
+	m := benchMachine(b, time.Duration(simSecs*float64(time.Second)))
 	govs := make([]Governor, m.Sockets())
 	for i := range govs {
 		govs[i] = newSteadyCapGov(m, i, 110*units.Watt, 130*units.Watt)
@@ -118,7 +118,7 @@ func BenchmarkRunGoverned(b *testing.B) {
 // iteration is built off the clock.
 func BenchmarkRunGovernedSpans(b *testing.B) {
 	const simSecs = 2.0
-	m := benchMachine(b, 0, time.Duration(simSecs*float64(time.Second)))
+	m := benchMachine(b, time.Duration(simSecs*float64(time.Second)))
 	govs := make([]Governor, m.Sockets())
 	for i := range govs {
 		govs[i] = newSteadyCapGov(m, i, 110*units.Watt, 130*units.Watt)

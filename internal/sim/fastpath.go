@@ -29,6 +29,7 @@ package sim
 import (
 	"dufp/internal/model"
 	"dufp/internal/msr"
+	"dufp/internal/rapl"
 	"dufp/internal/units"
 )
 
@@ -45,6 +46,10 @@ type fastSock struct {
 	coreHz       float64      // coreFreq · dt (∫f dt and APERF share it)
 	uncHz        float64      // uncoreFreq · dt
 	mperfD       float64      // baseFreq · dt
+
+	// limiter is the socket's RAPL step at the window's fixed dt, limits,
+	// delivered and requested frequency.
+	limiter *rapl.Kernel
 
 	// Constant observables, committed once per window.
 	avgPower units.Power
@@ -98,7 +103,7 @@ func (m *Machine) establish() bool {
 		kin := &s.phases[s.idx]
 		flopRate := kin.Flops * progress
 		bwRate := kin.Bytes * progress
-		load := model.Load{ActivityExtra: kin.Shape().ActivityExtra}
+		load := model.Load{ActivityExtra: kin.ActivityExtra()}
 		if pf := float64(s.spec.PeakFlops(s.coreFreq)); pf > 0 {
 			load.FlopUtil = flopRate / pf
 		}
@@ -110,7 +115,7 @@ func (m *Machine) establish() bool {
 		if !s.uncoreSteady(load.MemUtil) {
 			return false
 		}
-		pend := model.EnergyOver(cfg.Power.PackagePower(s.spec, s.coreFreq, s.uncoreFreq, load), dt)
+		pend := model.EnergyOver(cfg.Power.PackagePower(&s.spec, s.coreFreq, s.uncoreFreq, load), dt)
 		pendD := model.EnergyOver(cfg.Power.DramPower(units.Bandwidth(bwRate)), dt)
 
 		f.flopDelta = flopRate * dt
@@ -121,6 +126,7 @@ func (m *Machine) establish() bool {
 		f.coreHz = float64(s.coreFreq) * dt
 		f.uncHz = float64(s.uncoreFreq) * dt
 		f.mperfD = float64(s.spec.BaseCoreFreq) * dt
+		f.limiter = s.limiter.Kernel(dt, s.coreFreq, s.request)
 		f.avgPower = units.Power(float64(pend) / m.tickSecs)
 		f.dram = units.Power(float64(pendD) / m.tickSecs)
 		f.load = load
@@ -150,8 +156,16 @@ func (m *Machine) establish() bool {
 // limiter evaluated every tick — the reference accumulation, verbatim.
 // A tick-level event (phase boundary, limiter transition) ends the
 // window early.
+//
+// A socket-tick makes no call, no interface dispatch and no struct copy:
+// the jitter draw inlines NormFloat64's accepted case (≈ 97 % of draws;
+// only the rejection path is a call) and the limiter step is the inlined
+// kernel establish built. The tick's package energy, which the reference
+// settle holds in pendingEnergy (zero at every tick start), lives in a
+// local.
 func (m *Machine) window(w int) int {
 	dt := m.dt
+	tickSecs := m.tickSecs
 	progress := m.fastProgress
 	jitterSD := m.cfg.PowerJitterSD
 	n := 0
@@ -161,13 +175,11 @@ func (m *Machine) window(w int) int {
 		if progress > 0 && m.sockets[0].remaining/progress < dt {
 			break
 		}
-		boundary := false
+		boundary, transition := false, false
 		for i, s := range m.sockets {
 			f := &m.fast[i]
 			s.flops += f.flopDelta
 			s.bytes += f.byteDelta
-			s.pendingEnergy += f.pend
-			s.pendingDram += f.pendD
 			s.remaining -= f.progressStep
 			if s.remaining <= 1e-9 {
 				s.idx++
@@ -178,44 +190,45 @@ func (m *Machine) window(w int) int {
 				}
 				boundary = true
 			}
-		}
-		n++
-		if boundary && m.done() {
-			finished := m.now + m.tickDur
-			for _, s := range m.sockets {
-				s.finished = finished
-			}
-		}
-		// The settle accumulation, with the constant avgPower standing in
-		// for the pending-energy division it equals, jittered as settle
-		// jitters it.
-		transition := false
-		for i, s := range m.sockets {
-			f := &m.fast[i]
-			power := f.avgPower
+
+			// The settle accumulation, with the constant avgPower standing
+			// in for the pending-energy division it equals, jittered as
+			// settle jitters it.
+			power, pending := f.avgPower, f.pend
 			if jitterSD > 0 {
-				j := units.Power(s.jitter.NormFloat64() * jitterSD)
-				if power+j > 0 {
-					power += j
-					s.pendingEnergy = units.Energy(float64(power) * m.tickSecs)
+				r := &s.jitter
+				j := int32(r.uint32())
+				z := float64(j) * float64(wn[j&0x7F])
+				if absInt32(j) >= kn[j&0x7F] {
+					z = r.norm(j)
+				}
+				if jp := units.Power(z * jitterSD); power+jp > 0 {
+					power += jp
+					pending = units.Energy(float64(power) * tickSecs)
 				}
 			}
 			s.lastPower = power
-			s.pkgEnergy += s.pendingEnergy
-			s.dramEnergy += s.pendingDram
-			s.pendingEnergy, s.pendingDram = 0, 0
+			s.pkgEnergy += pending
+			s.dramEnergy += f.pendD
 			s.busySecs += dt
 			s.coreHzSecs += f.coreHz
 			s.uncHzSecs += f.uncHz
 			s.aperf += f.coreHz
 			s.mperf += f.mperfD
-			if next := s.limiter.Step(power, dt, s.coreFreq, s.request); next != s.coreFreq {
+			if next := f.limiter.Step(power); next != s.coreFreq {
 				if next < s.coreFreq {
 					m.clampTicks++
 				}
 				s.coreFreq = next
 				s.cacheOK = false
 				transition = true
+			}
+		}
+		n++
+		if boundary && m.done() {
+			finished := m.now + m.tickDur
+			for _, s := range m.sockets {
+				s.finished = finished
 			}
 		}
 		m.now += m.cfg.Tick

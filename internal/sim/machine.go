@@ -7,7 +7,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"dufp/internal/arch"
@@ -68,7 +67,6 @@ type Machine struct {
 	space   *msr.Space
 	sockets []*Socket
 	now     time.Duration
-	rng     *rand.Rand
 	// stall is pending monitoring-overhead time (seconds) during which
 	// the workload makes no progress.
 	stall float64
@@ -116,7 +114,6 @@ func New(cfg Config) (*Machine, error) {
 	m := &Machine{
 		cfg:      cfg,
 		space:    msr.NewSpace(cfg.Topo.TotalCores()),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		dt:       dt,
 		tickDur:  tickDur,
 		tickSecs: tickDur.Seconds(),
@@ -137,13 +134,16 @@ func New(cfg Config) (*Machine, error) {
 				Min: msr.FrequencyToRatio(spec.MinUncoreFreq),
 				Max: msr.FrequencyToRatio(spec.MaxUncoreFreq),
 			},
-			jitter: rand.New(rand.NewSource(cfg.Seed*1009 + int64(i))),
 		}
+		s.jitter.seed(jitterSeed(cfg.Seed, i))
 		m.sockets = append(m.sockets, s)
 	}
 	m.wireMSRs()
 	return m, nil
 }
+
+// jitterSeed derives socket i's power-jitter seed from the machine seed.
+func jitterSeed(seed int64, i int) int64 { return seed*1009 + int64(i) }
 
 // Reset returns the machine to its just-constructed state under cfg
 // without allocating: the MSR space, sockets, limiters and RNGs are all
@@ -163,7 +163,6 @@ func (m *Machine) Reset(cfg Config) bool {
 	}
 	m.cfg = cfg
 	m.space.Reset()
-	m.rng.Seed(cfg.Seed)
 	m.now, m.stall = 0, 0
 	m.clampTicks = 0
 	m.fastTicksRun, m.fastWindowsRun = 0, 0
@@ -172,7 +171,7 @@ func (m *Machine) Reset(cfg Config) bool {
 		m.fast[i] = fastSock{}
 	}
 	for i, s := range m.sockets {
-		s.jitter.Seed(cfg.Seed*1009 + int64(i))
+		s.jitter.seed(jitterSeed(cfg.Seed, i))
 		s.reset(nil)
 	}
 	return true

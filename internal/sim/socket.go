@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"time"
 
 	"dufp/internal/arch"
@@ -56,7 +55,8 @@ type Socket struct {
 	lastBW        units.Bandwidth
 	lastFlopRate  units.FlopRate
 
-	jitter *rand.Rand
+	// jitter draws the per-tick power jitter, seeded by New and Reset.
+	jitter jitterRNG
 
 	// Rate cache: rates only change when the operating point or phase
 	// does.
@@ -210,14 +210,14 @@ func (s *Socket) advance(step, progress float64) {
 		kin := &s.phases[s.idx]
 		c.flopRate = kin.Flops * progress
 		c.bwRate = kin.Bytes * progress
-		c.load = model.Load{ActivityExtra: kin.Shape().ActivityExtra}
+		c.load = model.Load{ActivityExtra: kin.ActivityExtra()}
 		if pf := float64(s.spec.PeakFlops(s.coreFreq)); pf > 0 {
 			c.load.FlopUtil = c.flopRate / pf
 		}
 		if pb := float64(s.spec.PeakMemoryBandwidth); pb > 0 {
 			c.load.MemUtil = c.bwRate / pb
 		}
-		c.pw = cfg.Power.PackagePower(s.spec, s.coreFreq, s.uncoreFreq, c.load)
+		c.pw = cfg.Power.PackagePower(&s.spec, s.coreFreq, s.uncoreFreq, c.load)
 		c.dramPw = cfg.Power.DramPower(units.Bandwidth(c.bwRate))
 		c.idx, c.progress, c.f, c.u = s.idx, progress, s.coreFreq, s.uncoreFreq
 		c.ok = true
@@ -256,7 +256,7 @@ func (s *Socket) settle(dt, idle float64) {
 	tick := s.m.tickSecs
 	avgPower := units.Power(float64(s.pendingEnergy) / tick)
 	if cfg.PowerJitterSD > 0 {
-		j := units.Power(s.jitter.NormFloat64() * cfg.PowerJitterSD)
+		j := units.Power(s.jitter.normFloat64() * cfg.PowerJitterSD)
 		if avgPower+j > 0 {
 			avgPower += j
 			s.pendingEnergy = units.Energy(float64(avgPower) * tick)
