@@ -52,13 +52,15 @@ vet:
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
-# fuzz runs each native fuzz target for 15 s. Both are differential: the
+# fuzz runs each native fuzz target for 15 s. Two are differential: the
 # simulator's copy of math/rand's jitter generator against math/rand
 # itself, and the RAPL limiter's kernel-built Step against its reference
-# oracle. Their committed seed inputs also run under `make test`.
+# oracle. The third feeds arbitrary bytes to the disk cache's DUFPSEG3
+# segment reader. Their seed inputs also run under `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzJitterRNG$$' -fuzztime 15s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzLimiterKernel$$' -fuzztime 15s ./internal/rapl/
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime 15s ./internal/exec/diskcache/
 
 # cover enforces a floor on the telemetry layer's test coverage: the
 # registry and timeline are pure data plumbing, so near-total coverage is
@@ -96,9 +98,8 @@ bench-mem:
 
 # bench-cache measures the disk cache's codec throughput — cold-write
 # and warm-read runs/s of the binary v3 segment format over a synthetic
-# campaign, plus the legacy JSONL decode baseline and speedup — merges
-# it into BENCH_sim.json and GATES the warm-read rate: a fall past the
-# committed baseline's headroom fails the build.
+# campaign — merges it into BENCH_sim.json and GATES the warm-read rate:
+# a fall past the committed baseline's headroom fails the build.
 bench-cache:
 	$(GO) run ./cmd/simbench -cache-only -out BENCH_sim.json -gate-cache reports/bench_baseline.json
 
@@ -108,7 +109,7 @@ bench-smoke:
 	$(GO) run ./cmd/simbench -short -out BENCH_sim.json -compare reports/bench_baseline.json
 
 # bench-scaling exercises the concurrency surface and GATES it: the
-# sharded scheduler's per-Submit overhead across -cpu values, then the
+# scheduler's per-Submit overhead across -cpu values, then the
 # 1000-distinct-run fleet grid at 1/4/8/16 workers merged into
 # BENCH_sim.json. On a host with >= 8 CPUs a fleet_grid_speedup_p8
 # below 2.5x fails the build (on smaller hosts the floor is skipped —

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -18,10 +17,8 @@ import (
 // bench-cache writes a synthetic campaign through the real write-behind
 // path (cold-write throughput), then times the full directory scan a
 // fresh process performs at Open (warm-read throughput, in runs/s and
-// segment MB/s), and decodes the same records from a legacy v2 JSONL
-// segment for the like-for-like speedup figure. The read rate is gated:
-// -gate-cache fails the build when it falls past the committed
-// baseline's headroom.
+// segment MB/s). The read rate is gated: -gate-cache fails the build
+// when it falls past the committed baseline's headroom.
 
 // cacheBenchRecords sizes the synthetic campaign; shortened in -short
 // CI runs.
@@ -51,7 +48,7 @@ func cacheBenchKey(i int) diskcache.Key {
 }
 
 // cacheBenchRun fills every column with distinct non-trivial floats so
-// neither codec gets away with encoding zeros.
+// the codec does not get away with encoding zeros.
 func cacheBenchRun(i int) metrics.Run {
 	f := float64(i)
 	return metrics.Run{
@@ -93,8 +90,8 @@ func cacheScanWall(dir string) (secs, loaded float64, err error) {
 }
 
 // segmentBytes sums the sizes of the directory's segment files.
-func segmentBytes(dir, pattern string) (float64, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, pattern))
+func segmentBytes(dir string) (float64, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "runs-*.seg"))
 	if err != nil {
 		return 0, err
 	}
@@ -144,7 +141,7 @@ func measureCacheInto(rep *report, short bool) error {
 	}
 	rep.DiskCacheWriteRunsPerS = written / writeWall
 
-	segMB, err := segmentBytes(dir, "runs-*.seg")
+	segMB, err := segmentBytes(dir)
 	if err != nil {
 		return err
 	}
@@ -157,41 +154,6 @@ func measureCacheInto(rep *report, short bool) error {
 	}
 	rep.DiskCacheReadRunsPerS = loaded / secs
 	rep.DiskCacheReadMBPerS = segMB / 1e6 / secs
-
-	// The same records as one legacy v2 JSONL segment: what the scan cost
-	// before the binary format, measured through the identical Open path.
-	jdir, err := os.MkdirTemp("", "dufp-cachebench-jsonl-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(jdir)
-	jf, err := os.Create(filepath.Join(jdir, "runs-baseline.jsonl"))
-	if err != nil {
-		return err
-	}
-	jw := bufio.NewWriterSize(jf, 1<<20)
-	for i := 0; i < int(written); i++ {
-		if err := diskcache.AppendLegacyJSONL(jw, cacheBenchPhysics, cacheBenchKey(i), cacheBenchRun(i)); err != nil {
-			return err
-		}
-	}
-	if err := jw.Flush(); err != nil {
-		return err
-	}
-	if err := jf.Close(); err != nil {
-		return err
-	}
-	jsecs, jloaded, err := cacheScanWall(jdir)
-	if err != nil {
-		return err
-	}
-	if jloaded != written {
-		return fmt.Errorf("cache bench: jsonl baseline loaded %.0f of %.0f", jloaded, written)
-	}
-	rep.DiskCacheJSONLReadRunsPerS = jloaded / jsecs
-	if rep.DiskCacheJSONLReadRunsPerS > 0 {
-		rep.DiskCacheReadSpeedupVsJSONL = rep.DiskCacheReadRunsPerS / rep.DiskCacheJSONLReadRunsPerS
-	}
 	return nil
 }
 

@@ -3,10 +3,8 @@
 // simulated second on the fast and reference loops, allocations per
 // tick, the wall time of the full Fig-3 experiment grid (plus its
 // scaling across 1–8 executor workers and its warm disk-cache rerun),
-// the sharded scheduler's per-Submit overhead under 1, 4 and 16
-// concurrent goroutines, and the fleet grid — a campaign of distinct
-// governed runs timed at 1/4/8/16 workers, the repo's multicore scaling
-// trajectory (fleet.go). CI runs it at short iteration counts, compares
+// and the fleet grid — a campaign of distinct governed runs timed at
+// 1/4/8/16 workers, the repo's multicore scaling trajectory (fleet.go). CI runs it at short iteration counts, compares
 // against the committed baseline (report-only) and enforces the scaling
 // gate; locally, `make bench` refreshes the numbers.
 //
@@ -20,23 +18,17 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"dufp"
-	"dufp/internal/exec"
 	"dufp/internal/experiment"
-	"dufp/internal/metrics"
 	"dufp/internal/model"
 	"dufp/internal/msr"
 	"dufp/internal/obs/span"
@@ -61,18 +53,6 @@ type report struct {
 	AllocsPerTick                 float64 `json:"allocs_per_tick"`
 	Fig3GridWallSeconds           float64 `json:"fig3_grid_wall_seconds"`
 	FastSpeedupVsExact            float64 `json:"fast_speedup_vs_exact"`
-
-	// Scheduler overhead: wall nanoseconds per Submit of an
-	// always-distinct key (install, execute a trivial runner, settle)
-	// from 1, 4 and 16 concurrent goroutines on the sharded executor.
-	// The old exec_submit_ns_distinct_p16_one_shard /
-	// exec_shard_speedup_p16 pair is retired: on a single-CPU host the
-	// goroutines never contended, so the "speedup" it reported (1.0008)
-	// measured the scheduler, not the sharding. The fleet grid below is
-	// the metric that actually exercises shards under load.
-	ExecSubmitNsDistinctP1  float64 `json:"exec_submit_ns_distinct_p1"`
-	ExecSubmitNsDistinctP4  float64 `json:"exec_submit_ns_distinct_p4"`
-	ExecSubmitNsDistinctP16 float64 `json:"exec_submit_ns_distinct_p16"`
 
 	// Grid scaling: the Fig-3 campaign wall time with the executor
 	// bounded to 1, 2, 4 and 8 workers, and the warm rerun of the same
@@ -99,13 +79,10 @@ type report struct {
 
 	// Disk-cache codec trajectory (bench-cache): cold-write and warm-read
 	// throughput of the binary v3 segment format over a synthetic
-	// campaign, with a legacy v2 JSONL decode baseline and the resulting
-	// speedup. The read rate is gated by -gate-cache. See cache.go.
-	DiskCacheWriteRunsPerS      float64 `json:"disk_cache_write_runs_per_s,omitempty"`
-	DiskCacheReadRunsPerS       float64 `json:"disk_cache_read_runs_per_s,omitempty"`
-	DiskCacheReadMBPerS         float64 `json:"disk_cache_read_mb_per_s,omitempty"`
-	DiskCacheJSONLReadRunsPerS  float64 `json:"disk_cache_jsonl_read_runs_per_s,omitempty"`
-	DiskCacheReadSpeedupVsJSONL float64 `json:"disk_cache_read_speedup_vs_jsonl,omitempty"`
+	// campaign. The read rate is gated by -gate-cache. See cache.go.
+	DiskCacheWriteRunsPerS float64 `json:"disk_cache_write_runs_per_s,omitempty"`
+	DiskCacheReadRunsPerS  float64 `json:"disk_cache_read_runs_per_s,omitempty"`
+	DiskCacheReadMBPerS    float64 `json:"disk_cache_read_mb_per_s,omitempty"`
 
 	// Memory trajectory (bench-mem): live-heap delta of one fully
 	// streamed traced run at 1×/10×/100× the benchmark phase duration —
@@ -274,41 +251,6 @@ func gridWallWarm(short bool) (float64, error) {
 	return gridWall(short, dufp.ExecDiskCache(dir))
 }
 
-// execSubmitDistinctNs measures the scheduler's own overhead: wall
-// nanoseconds per Submit of an always-distinct key under a trivial
-// runner, from procs concurrent goroutines. Distinct keys never coalesce
-// and never hit, so every submission walks the full install → execute →
-// settle path; with a free runner the figure is pure bookkeeping cost,
-// which is what sharding is meant to shrink.
-func execSubmitDistinctNs(procs, shards, perG int) (float64, error) {
-	e := exec.New(func(ctx context.Context, key exec.Key) (metrics.Run, error) {
-		return metrics.Run{}, nil
-	}, exec.WithWorkers(procs), exec.WithShards(shards))
-	ctx := context.Background()
-	var firstErr atomic.Value
-	start := time.Now()
-	var wg sync.WaitGroup
-	for g := 0; g < procs; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			app := "bench-" + strconv.Itoa(g)
-			for i := 0; i < perG; i++ {
-				if _, err := e.Submit(ctx, exec.Key{App: app, Idx: i}); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if err, ok := firstErr.Load().(error); ok {
-		return 0, err
-	}
-	return float64(elapsed.Nanoseconds()) / float64(procs*perG), nil
-}
-
 func measure(short bool, cacheDir string) (report, error) {
 	var rep report
 	rep.GoVersion = runtime.Version()
@@ -360,23 +302,6 @@ func measure(short bool, cacheDir string) (report, error) {
 	}
 	if rep.RunUngovernedNsPerSimsec > 0 {
 		rep.FastSpeedupVsExact = rep.RunUngovernedExactNsPerSimsec / rep.RunUngovernedNsPerSimsec
-	}
-
-	perG := 20000
-	if short {
-		perG = 2000
-	}
-	for _, c := range []struct {
-		procs, shards int
-		dst           *float64
-	}{
-		{1, 0, &rep.ExecSubmitNsDistinctP1},
-		{4, 0, &rep.ExecSubmitNsDistinctP4},
-		{16, 0, &rep.ExecSubmitNsDistinctP16},
-	} {
-		if *c.dst, err = execSubmitDistinctNs(c.procs, c.shards, perG); err != nil {
-			return rep, err
-		}
 	}
 
 	for _, c := range []struct {
@@ -434,9 +359,6 @@ func compare(baselinePath string, cur report) error {
 		{"allocs_per_tick", base.AllocsPerTick, cur.AllocsPerTick, true, false},
 		{"fig3_grid_wall_seconds", base.Fig3GridWallSeconds, cur.Fig3GridWallSeconds, true, false},
 		{"fast_speedup_vs_exact", base.FastSpeedupVsExact, cur.FastSpeedupVsExact, false, false},
-		{"exec_submit_ns_distinct_p1", base.ExecSubmitNsDistinctP1, cur.ExecSubmitNsDistinctP1, true, true},
-		{"exec_submit_ns_distinct_p4", base.ExecSubmitNsDistinctP4, cur.ExecSubmitNsDistinctP4, true, true},
-		{"exec_submit_ns_distinct_p16", base.ExecSubmitNsDistinctP16, cur.ExecSubmitNsDistinctP16, true, true},
 		{"fig3_grid_wall_seconds_p1", base.Fig3GridWallSecondsP1, cur.Fig3GridWallSecondsP1, true, true},
 		{"fig3_grid_wall_seconds_p2", base.Fig3GridWallSecondsP2, cur.Fig3GridWallSecondsP2, true, true},
 		{"fig3_grid_wall_seconds_p4", base.Fig3GridWallSecondsP4, cur.Fig3GridWallSecondsP4, true, true},
@@ -451,8 +373,6 @@ func compare(baselinePath string, cur report) error {
 		{"disk_cache_write_runs_per_s", base.DiskCacheWriteRunsPerS, cur.DiskCacheWriteRunsPerS, false, false},
 		{"disk_cache_read_runs_per_s", base.DiskCacheReadRunsPerS, cur.DiskCacheReadRunsPerS, false, false},
 		{"disk_cache_read_mb_per_s", base.DiskCacheReadMBPerS, cur.DiskCacheReadMBPerS, false, false},
-		{"disk_cache_jsonl_read_runs_per_s", base.DiskCacheJSONLReadRunsPerS, cur.DiskCacheJSONLReadRunsPerS, false, false},
-		{"disk_cache_read_speedup_vs_jsonl", base.DiskCacheReadSpeedupVsJSONL, cur.DiskCacheReadSpeedupVsJSONL, false, false},
 		{"run_peak_alloc_bytes_1x", base.RunPeakAllocBytes1x, cur.RunPeakAllocBytes1x, true, false},
 		{"run_peak_alloc_bytes_10x", base.RunPeakAllocBytes10x, cur.RunPeakAllocBytes10x, true, false},
 		{"run_peak_alloc_bytes_100x", base.RunPeakAllocBytes100x, cur.RunPeakAllocBytes100x, true, false},
@@ -566,8 +486,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "simbench: cache gate:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("cache gate ok: %.0f runs/s warm read (%.1f MB/s, %.1fx vs JSONL)\n",
-			rep.DiskCacheReadRunsPerS, rep.DiskCacheReadMBPerS, rep.DiskCacheReadSpeedupVsJSONL)
+		fmt.Printf("cache gate ok: %.0f runs/s warm read (%.1f MB/s)\n",
+			rep.DiskCacheReadRunsPerS, rep.DiskCacheReadMBPerS)
 	}
 	if *gateScaling != "" {
 		if err := gateScalingAgainst(*gateScaling, rep); err != nil {

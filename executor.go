@@ -76,11 +76,6 @@ func ExecCacheSize(n int) ExecutorOption { return exec.WithCacheSize(n) }
 // ExecObserver registers an executor's progress observer.
 func ExecObserver(fn func(ExecutorEvent)) ExecutorOption { return exec.WithObserver(fn) }
 
-// ExecShards sets the executor's shard count (rounded up to a power of
-// two); n <= 0 keeps the default. One shard serialises all bookkeeping on
-// a single mutex — useful only as a contention baseline in benchmarks.
-func ExecShards(n int) ExecutorOption { return exec.WithShards(n) }
-
 // ExecDiskCache adds a persistent second cache tier under dir: completed
 // runs are appended to content-addressed binary segments and reloaded by
 // later processes, so a warmed directory turns whole campaigns into disk
@@ -119,13 +114,14 @@ func SharedExecutor() *Executor {
 // runPayload carries the materialised inputs of one executor key. The
 // sideband fields are written only by fresh submissions (each of which
 // owns its payload), never by the memoised path, so payload sharing
-// across a Summary fan-out is race-free: runKey's payload carries no
+// across a batch fan-out is race-free: runKey's payload carries no
 // sideband, and a batch shares it across all run indices of one
 // configuration.
 type runPayload struct {
 	session Session
 	app     App
-	mk      GovernorFunc
+	// mk is the governor's constructor; nil is the baseline.
+	mk GovernorFunc
 	// traced attaches a trace recorder to the run.
 	traced bool
 	// keep retains the recorder, summary, controller instances and fault
@@ -194,7 +190,7 @@ func (s Session) runKey(sessionFP string, app App, gov Governor, idx int) exec.K
 		Governor: gov.ID(),
 		Session:  sessionFP,
 		Idx:      idx,
-		Payload:  &runPayload{session: s, app: app, mk: gov.Func()},
+		Payload:  &runPayload{session: s, app: app, mk: gov.mk},
 	}
 }
 

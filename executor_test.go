@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"dufp"
+	"dufp/internal/control"
 	"dufp/internal/exec"
+	"dufp/internal/metrics"
 )
 
 // fastApp builds a short synthetic application so executor tests stay
@@ -222,7 +224,7 @@ func TestGovernorIdentity(t *testing.T) {
 	}
 	// Wrapped bare funcs get process-unique identities: never wrongly
 	// deduplicated.
-	mk := dufp.DUFP(cfg).Func()
+	mk := func(control.Actuators) (control.Instance, error) { return nil, nil }
 	if a, b := dufp.GovernorOf(mk).ID(), dufp.GovernorOf(mk).ID(); a == b {
 		t.Fatalf("anonymous governors share identity %q", a)
 	}
@@ -394,16 +396,34 @@ func TestSummarizeAllMatchesSummarizeCtx(t *testing.T) {
 	if len(want) != 0 {
 		t.Errorf("no batch key carries RunIDs %v", want)
 	}
+	// The independent path: every run alone through Session.Run on a cold
+	// executor, aggregated with the paper's protocol directly.
+	solo := session.OnExecutor(dufp.NewExecutor())
 	for i, o := range outcomes {
 		if o.Err != nil {
 			t.Fatalf("outcome %d: %v", i, o.Err)
 		}
-		want, err := session.SummarizeCtx(ctx, reqs[i].App, reqs[i].Governor, 3)
+		runs := make([]dufp.Run, n)
+		for idx := range runs {
+			res, err := solo.Run(ctx, dufp.RunSpec{App: reqs[i].App, Governor: reqs[i].Governor, Idx: idx})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[idx] = res.Run
+		}
+		want, err := metrics.Summarize(runs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if o.Summary != want {
-			t.Errorf("outcome %d differs from SummarizeCtx:\n%+v\n%+v", i, o.Summary, want)
+			t.Errorf("outcome %d differs from its runs' summary:\n%+v\n%+v", i, o.Summary, want)
+		}
+		got, err := session.SummarizeCtx(ctx, reqs[i].App, reqs[i].Governor, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("SummarizeCtx of request %d differs from its runs' summary:\n%+v\n%+v", i, got, want)
 		}
 	}
 }

@@ -32,15 +32,6 @@ func (g Governor) ID() string {
 	return g.id
 }
 
-// Func returns the underlying constructor in the legacy GovernorFunc
-// form.
-func (g Governor) Func() GovernorFunc {
-	if g.mk == nil {
-		return func(control.Actuators) (control.Instance, error) { return nil, nil }
-	}
-	return g.mk
-}
-
 // Baseline leaves the machine in its default configuration (the paper's
 // baseline).
 func Baseline() Governor { return Governor{} }

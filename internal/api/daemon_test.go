@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dufp"
+	"dufp/internal/control"
 )
 
 // testConfig returns a daemon config on an isolated executor and
@@ -107,7 +108,7 @@ func TestSubmitRunRejectsAnonymousGovernor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	anon := dufp.GovernorOf(dufp.DUFP(dufp.DefaultControlConfig(0.10)).Func())
+	anon := dufp.GovernorOf(func(control.Actuators) (control.Instance, error) { return nil, nil })
 	_, err = d.SubmitRun(dufp.RunSpec{App: mustApp(t, "EP"), Governor: anon})
 	if !errors.Is(err, ErrNotSerializable) {
 		t.Fatalf("err = %v, want ErrNotSerializable", err)

@@ -12,36 +12,28 @@ import (
 
 // BenchmarkSubmitDistinct measures the scheduler's bookkeeping cost per
 // Submit of an always-distinct key — no hits, no coalescing, a free
-// runner — across shard counts. The shards=1 case is the old
-// one-big-mutex layout; on multi-core hosts the gap between it and the
-// default at high -cpu values is the sharding win (cmd/simbench reports
-// the same comparison as exec_submit_ns_distinct_*). On a single-core
-// host the two converge: uncontended mutexes cost the same everywhere.
+// runner — from parallel goroutines on the executor's one mutex.
 func BenchmarkSubmitDistinct(b *testing.B) {
-	for _, shards := range []int{1, 16} {
-		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
-			e := New(func(ctx context.Context, key Key) (metrics.Run, error) {
-				return metrics.Run{}, nil
-			}, WithShards(shards), WithWorkers(64))
-			ctx := context.Background()
-			var seq atomic.Int64
-			b.RunParallel(func(pb *testing.PB) {
-				app := "bench-" + strconv.Itoa(int(seq.Add(1)))
-				i := 0
-				for pb.Next() {
-					if _, err := e.Submit(ctx, Key{App: app, Idx: i}); err != nil {
-						b.Error(err)
-						return
-					}
-					i++
-				}
-			})
-		})
-	}
+	e := New(func(ctx context.Context, key Key) (metrics.Run, error) {
+		return metrics.Run{}, nil
+	}, WithWorkers(64))
+	ctx := context.Background()
+	var seq atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		app := "bench-" + strconv.Itoa(int(seq.Add(1)))
+		i := 0
+		for pb.Next() {
+			if _, err := e.Submit(ctx, Key{App: app, Idx: i}); err != nil {
+				b.Error(err)
+				return
+			}
+			i++
+		}
+	})
 }
 
 // BenchmarkSubmitCached measures the hit path: every submission after
-// the first is served by a shard's LRU segment.
+// the first is served by the LRU.
 func BenchmarkSubmitCached(b *testing.B) {
 	e := New(func(ctx context.Context, key Key) (metrics.Run, error) {
 		return metrics.Run{}, nil
@@ -76,7 +68,7 @@ func BenchmarkSubmitAll(b *testing.B) {
 				for j := range keys {
 					keys[j] = Key{App: "b" + strconv.Itoa(i), Idx: j}
 				}
-				for o := range e.SubmitAll(ctx, keys) {
+				for _, o := range e.SubmitAll(ctx, keys) {
 					if o.Err != nil {
 						b.Fatal(o.Err)
 					}

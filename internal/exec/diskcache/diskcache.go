@@ -16,9 +16,7 @@
 // run's content address and the run itself. The reader scans segments
 // sequentially into a reused frame buffer and decodes through a string
 // interner, so the warm path performs no per-record allocations beyond
-// the index entries themselves. Legacy v2 JSONL segments (runs-*.jsonl,
-// one `<crc32c-hex> <payload-json>` line per record) are still read, so
-// mixed directories load; they are never written.
+// the index entries themselves. Segments of any other format are inert.
 //
 // Records are validated on load: CRC mismatches and undecodable bodies
 // (including the torn last frame of a crashed writer) are skipped and
@@ -30,23 +28,19 @@
 //
 // Writes are write-behind: Put updates the in-memory index immediately
 // and queues the record for a background writer; Close drains the queue,
-// flushes and fsyncs. Floats travel as raw IEEE 754 bits (and travelled
-// as shortest-round-trip decimals in v2), so a disk-served run is
-// bit-identical to a fresh one.
+// flushes and fsyncs. Floats travel as raw IEEE 754 bits, so a
+// disk-served run is bit-identical to a fresh one.
 package diskcache
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,16 +49,10 @@ import (
 	"dufp/internal/wirebin"
 )
 
-// formatVersion is the segment-layout version the write path emits.
-// Version 2 switched the run payload to the canonical wire schema
-// (metrics.Run's own MarshalJSON); version 3 switched segments to
-// length-prefixed binary frames in the wirebin column encoding. v2
-// segments remain readable; v1 segments are inert.
+// formatVersion is the segment-layout version the cache reads and
+// writes: length-prefixed binary frames in the wirebin column encoding.
+// The JSONL segments of versions 1 and 2 (runs-*.jsonl) are inert.
 const formatVersion = 3
-
-// legacyJSONLVersion is the newest JSONL record version the read path
-// still accepts.
-const legacyJSONLVersion = 2
 
 // segMagic opens every binary segment file.
 const segMagic = "DUFPSEG3"
@@ -130,15 +118,6 @@ func parseRunID(id string) (uint64, bool) {
 type record struct {
 	Key Key
 	Run metrics.Run
-}
-
-// jsonlRecord is the legacy v2 JSON payload of one persisted run, kept
-// for the read-compat path.
-type jsonlRecord struct {
-	V       int         `json:"v"`
-	Physics string      `json:"physics"`
-	Key     Key         `json:"key"`
-	Run     metrics.Run `json:"run"`
 }
 
 // Stats are the cache's counters since Open.
@@ -244,11 +223,10 @@ func Open(dir, version string, opts ...Option) (*Cache, error) {
 	return c, nil
 }
 
-// load scans every segment file in the directory — binary v3 and legacy
-// v2 JSONL — keeping valid same-version records and counting corrupt and
-// stale ones. The scan state (frame buffer, decode reader, string
-// interner) is shared across files, so the warm path allocates per
-// distinct string, not per record.
+// load scans every segment file in the directory, keeping valid
+// same-version records and counting corrupt and stale ones. The scan
+// state (frame buffer, decode reader, string interner) is shared across
+// files, so the warm path allocates per distinct string, not per record.
 func (c *Cache) load() {
 	segs, err := filepath.Glob(filepath.Join(c.dir, "runs-*.seg"))
 	if err != nil {
@@ -258,56 +236,6 @@ func (c *Cache) load() {
 	for _, path := range segs {
 		sc.file(c, path)
 	}
-	jsonls, err := filepath.Glob(filepath.Join(c.dir, "runs-*.jsonl"))
-	if err != nil {
-		return
-	}
-	for _, path := range jsonls {
-		f, err := os.Open(path)
-		if err != nil {
-			continue
-		}
-		s := bufio.NewScanner(f)
-		s.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-		for s.Scan() {
-			c.loadLine(s.Bytes())
-		}
-		f.Close()
-	}
-}
-
-// loadLine validates one record line and admits it into the index.
-func (c *Cache) loadLine(line []byte) {
-	if len(bytes.TrimSpace(line)) == 0 {
-		return
-	}
-	sep := bytes.IndexByte(line, ' ')
-	if sep != 8 {
-		c.corrupt.Add(1)
-		return
-	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(line[:sep]), "%08x", &want); err != nil {
-		c.corrupt.Add(1)
-		return
-	}
-	payload := line[sep+1:]
-	if crc32.Checksum(payload, crcTable) != want {
-		c.corrupt.Add(1)
-		return
-	}
-	var rec jsonlRecord
-	if err := json.Unmarshal(payload, &rec); err != nil || rec.V != legacyJSONLVersion {
-		c.corrupt.Add(1)
-		return
-	}
-	if rec.Physics != c.version {
-		c.stale.Add(1)
-		return
-	}
-	c.loaded.Add(1)
-	c.mem[rec.Key] = rec.Run
-	c.byID[Sum(rec.Key)] = rec.Key
 }
 
 // Get returns the cached run for the key, if any.
@@ -470,9 +398,6 @@ func (c *Cache) Len() int {
 	return len(c.mem)
 }
 
-// Dir returns the cache directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // Stats returns a snapshot of the cache's counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
@@ -484,11 +409,4 @@ func (c *Cache) Stats() Stats {
 		Written: c.written.Load(),
 		Dropped: c.dropped.Load(),
 	}
-}
-
-// segmentName reports whether base names a cache segment file (exported
-// for tests that corrupt specific files).
-func segmentName(base string) bool {
-	return strings.HasPrefix(base, "runs-") &&
-		(strings.HasSuffix(base, ".seg") || strings.HasSuffix(base, ".jsonl"))
 }

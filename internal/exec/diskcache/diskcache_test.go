@@ -197,56 +197,6 @@ func TestBadHeaderStopsSegment(t *testing.T) {
 	}
 }
 
-func TestMixedFormatDirectoryLoads(t *testing.T) {
-	dir := t.TempDir()
-	// A legacy v2 JSONL segment, as an older build would have left it.
-	var legacy strings.Builder
-	if err := AppendLegacyJSONL(&legacy, physV, testKeyAt(0), testRun(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendLegacyJSONL(&legacy, "physics-old", testKeyAt(9), testRun(9)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "runs-legacy.jsonl"), []byte(legacy.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A binary v3 segment from a current build.
-	c := openOrDie(t, dir, physV)
-	c.Put(testKeyAt(1), testRun(1))
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2 := openOrDie(t, dir, physV)
-	st := c2.Stats()
-	if st.Loaded != 2 || st.Stale != 1 || st.Corrupt != 0 {
-		t.Fatalf("stats = %+v, want both formats loaded and the old-physics line stale", st)
-	}
-	for i := 0; i < 2; i++ {
-		if got, ok := c2.Get(testKeyAt(i)); !ok || got != testRun(i) {
-			t.Fatalf("key %d: got %+v ok=%v", i, got, ok)
-		}
-	}
-	// The new writer must land on a fresh v3 segment, never extend (or
-	// rewrite) the legacy file.
-	c2.Put(testKeyAt(2), testRun(2))
-	if err := c2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "runs-*.seg"))
-	if len(segs) != 2 {
-		t.Fatalf("binary segments = %v, want the seed's and the new writer's", segs)
-	}
-	if raw, err := os.ReadFile(filepath.Join(dir, "runs-legacy.jsonl")); err != nil || string(raw) != legacy.String() {
-		t.Fatalf("legacy segment modified (err %v)", err)
-	}
-	c3 := openOrDie(t, dir, physV)
-	defer c3.Close()
-	if c3.Len() != 3 {
-		t.Fatalf("merged index holds %d runs, want 3", c3.Len())
-	}
-}
-
 func TestPhysicsVersionMismatchIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	c := openOrDie(t, dir, "physics-old")

@@ -3,13 +3,10 @@ package diskcache
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 
-	"dufp/internal/metrics"
 	"dufp/internal/wirebin"
 )
 
@@ -141,17 +138,4 @@ func (sc *segScanner) grow(n int) {
 		sc.frame = make([]byte, n)
 	}
 	sc.frame = sc.frame[:cap(sc.frame)]
-}
-
-// AppendLegacyJSONL writes one record to w in the v2 JSONL segment
-// format. The write path no longer emits it; this is the fixture hook
-// for compatibility tests and the decode-throughput baseline in the
-// benchmark harness.
-func AppendLegacyJSONL(w io.Writer, version string, key Key, run metrics.Run) error {
-	payload, err := json.Marshal(jsonlRecord{V: legacyJSONLVersion, Physics: version, Key: key, Run: run})
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "%08x %s\n", crc32.Checksum(payload, crcTable), payload)
-	return err
 }

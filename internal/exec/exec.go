@@ -3,11 +3,8 @@
 // memoises completed ones in a bounded LRU keyed by content address, and
 // reports structured progress through an observer hook.
 //
-// The scheduler is sharded: the in-flight map and the memo LRU are split
-// into power-of-two segments addressed by a hash of the run's content
-// address, each behind its own mutex, and the statistics are plain
-// atomics — so concurrent submissions of distinct keys never serialise
-// on a single lock. An optional persistent second tier (see the
+// One mutex guards the in-flight map and the memo LRU; the statistics
+// are plain atomics. An optional persistent second tier (see the
 // diskcache sub-package) survives the process: memo misses consult it
 // before executing, and completed runs are written behind.
 //
@@ -23,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,10 +63,6 @@ func (k Key) ID() ID { return ID{App: k.App, Governor: k.Governor, Session: k.Se
 func (k Key) String() string {
 	return fmt.Sprintf("%s under %s [run %d]", k.App, k.Governor, k.Idx)
 }
-
-// hash returns the shard-selection hash of the content address: the
-// FNV-1a sum RunID spells.
-func (id ID) hash() uint64 { return diskcache.Sum(diskcache.Key(id)) }
 
 // Runner materialises one key into a completed run. It must be safe for
 // concurrent use and deterministic in the key's identity fields.
@@ -171,22 +163,6 @@ type Stats struct {
 // WithCacheSize is absent or non-positive.
 const DefaultCacheSize = 4096
 
-// defaultShards is the floor on the scheduler's shard count; must be a
-// power of two. The effective default scales with the worker bound —
-// 4×workers, rounded up to a power of two, but never below this floor —
-// so wide executors keep roughly four shards per worker and concurrent
-// submissions of distinct keys rarely meet on a mutex.
-const defaultShards = 16
-
-// defaultShardsFor returns the shard count used when WithShards is
-// absent or non-positive.
-func defaultShardsFor(workers int) int {
-	if s := 4 * workers; s > defaultShards {
-		return nextPow2(s)
-	}
-	return defaultShards
-}
-
 // Option configures a new Executor.
 type Option func(*Executor)
 
@@ -202,14 +178,6 @@ func WithWorkers(n int) Option {
 // a positive bound.
 func WithCacheSize(n int) Option {
 	return func(e *Executor) { e.cacheSize = n }
-}
-
-// WithShards sets the number of scheduler shards, rounded up to a power
-// of two; n <= 0 restores the default. One shard reproduces the
-// single-mutex scheduler and exists for contention benchmarks; real use
-// keeps the default.
-func WithShards(n int) Option {
-	return func(e *Executor) { e.nshards = n }
 }
 
 // WithObserver registers the progress observer.
@@ -252,7 +220,6 @@ type execMetrics struct {
 	queueDepth                      *obs.Gauge
 	runSeconds                      *obs.Histogram
 	diskWriteSeconds                *obs.Histogram
-	shardLocks                      *obs.CounterVec
 }
 
 func newExecMetrics(r *obs.Registry) *execMetrics {
@@ -273,24 +240,7 @@ func newExecMetrics(r *obs.Registry) *execMetrics {
 		runSeconds: r.Histogram("exec_run_seconds", "wall-clock time of executed runs", nil).With(),
 		diskWriteSeconds: r.Histogram("exec_disk_write_seconds",
 			"wall-clock time of persistent-cache record writes", nil).With(),
-		shardLocks: r.Counter("exec_shard_lock_acquisitions_total",
-			"scheduler shard-mutex acquisitions", "shard"),
 	}
-}
-
-// shard is one segment of the scheduler's state: its slice of the
-// in-flight map and the memo LRU, behind a private mutex. Lock
-// acquisitions are counted per shard, so contention is observable.
-type shard struct {
-	mu       sync.Mutex
-	inflight map[ID]*call
-	cache    *lruCache
-	locks    *obs.Counter
-}
-
-func (s *shard) lock() {
-	s.mu.Lock()
-	s.locks.Inc()
 }
 
 // counters is the executor's atomic statistics block; Stats() snapshots
@@ -305,13 +255,12 @@ type counters struct {
 }
 
 // Executor schedules runs on a bounded worker pool, coalescing concurrent
-// submissions of the same key and memoising completed runs in a sharded
-// LRU, optionally backed by a persistent disk cache.
+// submissions of the same key and memoising completed runs in an LRU,
+// optionally backed by a persistent disk cache.
 type Executor struct {
 	run       Runner
 	workers   int
 	cacheSize int
-	nshards   int
 	// slots carries the worker-slot tokens 0..workers-1; holding token i
 	// grants exclusive use of scratch[i] for the duration of one run.
 	slots    chan int
@@ -319,11 +268,14 @@ type Executor struct {
 	registry *obs.Registry
 	metrics  *execMetrics
 
-	shards    []*shard
-	shardMask uint64
-	queued    atomic.Int64
-	cnt       counters
-	obs       atomic.Pointer[Observer]
+	// mu guards inflight and cache.
+	mu       sync.Mutex
+	inflight map[ID]*call
+	cache    *lruCache
+
+	queued atomic.Int64
+	cnt    counters
+	obs    atomic.Pointer[Observer]
 
 	diskDir, diskVersion string
 	disk                 *diskcache.Cache
@@ -348,11 +300,8 @@ func New(run Runner, opts ...Option) *Executor {
 	if e.cacheSize <= 0 {
 		e.cacheSize = DefaultCacheSize
 	}
-	if e.nshards <= 0 {
-		e.nshards = defaultShardsFor(e.workers)
-	}
-	e.nshards = nextPow2(e.nshards)
-	e.shardMask = uint64(e.nshards - 1)
+	e.inflight = make(map[ID]*call)
+	e.cache = newLRU(e.cacheSize)
 	e.slots = make(chan int, e.workers)
 	e.scratch = make([]*Scratch, e.workers)
 	for i := 0; i < e.workers; i++ {
@@ -360,18 +309,6 @@ func New(run Runner, opts ...Option) *Executor {
 		e.slots <- i
 	}
 	e.metrics = newExecMetrics(e.registry)
-
-	// Segment capacity rounds up so the shards together hold at least
-	// cacheSize entries.
-	segCap := (e.cacheSize + e.nshards - 1) / e.nshards
-	e.shards = make([]*shard, e.nshards)
-	for i := range e.shards {
-		e.shards[i] = &shard{
-			inflight: make(map[ID]*call),
-			cache:    newLRU(segCap),
-			locks:    e.metrics.shardLocks.With(strconv.Itoa(i)),
-		}
-	}
 
 	if e.diskDir != "" {
 		dc, err := diskcache.Open(e.diskDir, e.diskVersion,
@@ -392,15 +329,6 @@ func New(run Runner, opts ...Option) *Executor {
 		}
 	}
 	return e
-}
-
-// nextPow2 rounds n up to the next power of two.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // Close flushes and fsyncs the persistent cache tier, if any. The
@@ -435,9 +363,6 @@ func (e *Executor) Stats() Stats {
 // Workers returns the concurrency bound.
 func (e *Executor) Workers() int { return e.workers }
 
-// Shards returns the number of scheduler shards.
-func (e *Executor) Shards() int { return e.nshards }
-
 // DiskWarning returns a non-empty string when a requested disk cache
 // degraded to memory-only operation (unwritable or unopenable
 // directory), describing why.
@@ -467,59 +392,77 @@ func (e *Executor) DiskGetByID(runID string) (metrics.Run, bool) {
 	return run, ok
 }
 
-func (e *Executor) shardFor(id ID) *shard {
-	return e.shards[id.hash()&e.shardMask]
-}
-
 // Submit schedules the key and returns its run. Submissions of a key
 // already in flight join it instead of re-executing (and then observe the
 // leader's outcome, including its cancellation); completed runs are served
-// from the sharded LRU, then from the persistent disk cache when one is
-// attached. Cancelling ctx while queued or while this submission leads
-// the execution returns ctx.Err() promptly.
+// from the LRU, then from the persistent disk cache when one is attached.
+// Cancelling ctx while queued or while this submission leads the
+// execution returns ctx.Err() promptly.
 func (e *Executor) Submit(ctx context.Context, key Key) (metrics.Run, error) {
+	return e.submit(ctx, key, false)
+}
+
+// SubmitFresh always executes — it never reads the LRU, the disk tier or
+// a coalesced leader — but a successful run is written through to both
+// cache tiers. It exists for observer-bearing runs (streaming trace
+// sinks, decision-log capture): their sideband output must be produced
+// fresh every time, yet the returned Run is bit-identical to an
+// unobserved execution of the same key, so caching it lets later
+// unobserved Submits — and a restarted daemon's disk resume — reuse the
+// result.
+func (e *Executor) SubmitFresh(ctx context.Context, key Key) (metrics.Run, error) {
+	return e.submit(ctx, key, true)
+}
+
+// submit is the one submission body behind Submit and SubmitFresh. A
+// fresh submission skips the read side — the LRU, the in-flight map and
+// the disk tier — so it never installs an in-flight entry, and its cache
+// stage is the LRU write-through after the run instead of the lookups
+// before it.
+func (e *Executor) submit(ctx context.Context, key Key, fresh bool) (metrics.Run, error) {
 	id := key.ID()
 	tr := span.FromContext(ctx)
 	e.cnt.submitted.Add(1)
 	e.metrics.submitted.Inc()
-	sh := e.shardFor(id)
-	cacheSpan := tr.Start(span.StageCache)
-	sh.lock()
-	if run, ok := sh.cache.get(id); ok {
-		sh.mu.Unlock()
-		cacheSpan.End()
-		e.cnt.cacheHits.Add(1)
-		e.metrics.cacheHits.Inc()
-		e.emit(Event{Kind: EventCached, Key: key, QueueDepth: int(e.queued.Load())})
-		return run, nil
-	}
-	if c, ok := sh.inflight[id]; ok {
-		sh.mu.Unlock()
-		cacheSpan.End()
-		e.cnt.coalesced.Add(1)
-		e.metrics.coalesced.Inc()
-		e.emit(Event{Kind: EventCoalesced, Key: key, QueueDepth: int(e.queued.Load())})
-		wait := tr.Start(span.StageCoalesce)
-		defer wait.End()
-		select {
-		case <-c.done:
-			return c.run, c.err
-		case <-ctx.Done():
-			return metrics.Run{}, ctx.Err()
+	var c *call
+	var cacheSpan span.Handle
+	if !fresh {
+		cacheSpan = tr.Start(span.StageCache)
+		e.mu.Lock()
+		if run, ok := e.cache.get(id); ok {
+			e.mu.Unlock()
+			cacheSpan.End()
+			e.cnt.cacheHits.Add(1)
+			e.metrics.cacheHits.Inc()
+			e.emit(Event{Kind: EventCached, Key: key, QueueDepth: int(e.queued.Load())})
+			return run, nil
 		}
+		if leader, ok := e.inflight[id]; ok {
+			e.mu.Unlock()
+			cacheSpan.End()
+			e.cnt.coalesced.Add(1)
+			e.metrics.coalesced.Inc()
+			e.emit(Event{Kind: EventCoalesced, Key: key, QueueDepth: int(e.queued.Load())})
+			wait := tr.Start(span.StageCoalesce)
+			defer wait.End()
+			select {
+			case <-leader.done:
+				return leader.run, leader.err
+			case <-ctx.Done():
+				return metrics.Run{}, ctx.Err()
+			}
+		}
+		c = &call{done: make(chan struct{})}
+		e.inflight[id] = c
+		e.mu.Unlock()
 	}
-	c := &call{done: make(chan struct{})}
-	sh.inflight[id] = c
-	sh.mu.Unlock()
 	e.metrics.queueDepth.Set(float64(e.queued.Add(1)))
-
-	if e.disk != nil {
+	if !fresh && e.disk != nil {
 		if run, ok := e.disk.Get(diskcache.Key(id)); ok {
 			cacheSpan.End()
 			e.cnt.diskHits.Add(1)
 			e.metrics.diskHits.Inc()
-			c.run = run
-			e.settle(sh, id, c, false, nil)
+			e.settle(id, c, run, nil)
 			e.emit(Event{Kind: EventDiskHit, Key: key, QueueDepth: int(e.queued.Load())})
 			return run, nil
 		}
@@ -529,88 +472,44 @@ func (e *Executor) Submit(ctx context.Context, key Key) (metrics.Run, error) {
 
 	e.cnt.started.Add(1)
 	e.metrics.started.Inc()
-	c.run, c.err = e.execute(ctx, key)
-	e.settle(sh, id, c, c.err == nil, tr)
-	return c.run, c.err
-}
-
-// settle retires a leader's in-flight entry: the completed run enters
-// the LRU (unless it failed), followers are released, and — for fresh
-// executions — the persistent tier is written behind, recorded on the
-// leader's span trace as the serialize stage.
-func (e *Executor) settle(sh *shard, id ID, c *call, persist bool, tr *span.Trace) {
-	sh.lock()
-	delete(sh.inflight, id)
-	var evicted int64
-	if c.err == nil {
-		evicted = int64(sh.cache.add(id, c.run))
-	}
-	sh.mu.Unlock()
-	if evicted > 0 {
-		e.cnt.evicted.Add(evicted)
-		e.metrics.evicted.Add(float64(evicted))
-	}
-	e.metrics.queueDepth.Set(float64(e.queued.Add(-1)))
-	close(c.done)
-	if persist && e.disk != nil {
-		ser := tr.Start(span.StageSerialize)
-		e.disk.Put(diskcache.Key(id), c.run)
-		ser.End()
-	}
-}
-
-// SubmitUncached schedules the key through the same bounded worker pool
-// and event stream, but neither coalesces nor memoises it. It exists for
-// side-effectful runs — tracing, decision-log capture — whose outputs live
-// outside the returned Run and must be produced fresh every time.
-func (e *Executor) SubmitUncached(ctx context.Context, key Key) (metrics.Run, error) {
-	e.cnt.submitted.Add(1)
-	e.metrics.submitted.Inc()
-	e.cnt.started.Add(1)
-	e.metrics.started.Inc()
-	e.metrics.queueDepth.Set(float64(e.queued.Add(1)))
 	run, err := e.execute(ctx, key)
-	e.metrics.queueDepth.Set(float64(e.queued.Add(-1)))
-	return run, err
-}
-
-// SubmitFresh always executes — it never reads the LRU, the disk tier or
-// a coalesced leader — but, unlike SubmitUncached, a successful run is
-// written through to both cache tiers. It exists for observer-bearing
-// runs (streaming trace sinks, decision-log capture): their sideband
-// output must be produced fresh every time, yet the returned Run is
-// bit-identical to an unobserved execution of the same key, so caching
-// it lets later unobserved Submits — and a restarted daemon's disk
-// resume — reuse the result.
-func (e *Executor) SubmitFresh(ctx context.Context, key Key) (metrics.Run, error) {
-	id := key.ID()
-	tr := span.FromContext(ctx)
-	e.cnt.submitted.Add(1)
-	e.metrics.submitted.Inc()
-	e.cnt.started.Add(1)
-	e.metrics.started.Inc()
-	e.metrics.queueDepth.Set(float64(e.queued.Add(1)))
-	run, err := e.execute(ctx, key)
-	e.metrics.queueDepth.Set(float64(e.queued.Add(-1)))
-	if err != nil {
-		return run, err
+	var writeThrough span.Handle
+	if fresh && err == nil {
+		writeThrough = tr.Start(span.StageCache)
 	}
-	cacheSpan := tr.Start(span.StageCache)
-	sh := e.shardFor(id)
-	sh.lock()
-	evicted := int64(sh.cache.add(id, run))
-	sh.mu.Unlock()
-	cacheSpan.End()
-	if evicted > 0 {
-		e.cnt.evicted.Add(evicted)
-		e.metrics.evicted.Add(float64(evicted))
-	}
-	if e.disk != nil {
+	e.settle(id, c, run, err)
+	writeThrough.End()
+	if err == nil && e.disk != nil {
 		ser := tr.Start(span.StageSerialize)
 		e.disk.Put(diskcache.Key(id), run)
 		ser.End()
 	}
-	return run, nil
+	return run, err
+}
+
+// settle retires a submission that executed or was served from disk: a
+// successful run enters the LRU, and the in-flight entry c, when the
+// submission installed one, is removed and its followers released with
+// the outcome.
+func (e *Executor) settle(id ID, c *call, run metrics.Run, err error) {
+	e.mu.Lock()
+	if c != nil {
+		delete(e.inflight, id)
+	}
+	var evicted int64
+	if err == nil {
+		evicted = int64(e.cache.add(id, run))
+	}
+	e.mu.Unlock()
+	if evicted > 0 {
+		e.cnt.evicted.Add(evicted)
+		e.metrics.evicted.Add(float64(evicted))
+	}
+	e.metrics.queueDepth.Set(float64(e.queued.Add(-1)))
+	if c != nil {
+		c.run, c.err = run, err
+		close(c.done)
+	}
 }
 
 // execute waits for a worker slot and runs the key, emitting progress
@@ -662,142 +561,29 @@ func (e *Executor) execute(ctx context.Context, key Key) (metrics.Run, error) {
 
 // Outcome is one resolved submission of a batch.
 type Outcome struct {
-	// Idx is the submission's position in the batch, so consumers can
-	// correlate outcomes with their inputs regardless of delivery timing.
-	Idx int
-	Key Key
 	Run metrics.Run
 	Err error
 }
 
-// SubmitAll schedules the whole batch on the executor's worker pool and
-// streams outcomes on the returned channel in submission order (outcome
-// i is delivered only after outcomes 0..i-1), so consuming the channel
-// yields deterministic ordering regardless of execution interleaving.
-// The channel closes after the last outcome; the caller must drain it.
-// Cancelling ctx resolves the remaining submissions with ctx.Err()
-// rather than abandoning them, so the stream always completes.
-//
-// The batch is partitioned before anything touches the scheduler's
-// shared state: duplicate content addresses within the batch are grouped
-// up front, one leader per group walks the full Submit path, and its
-// followers copy the leader's outcome without ever taking a shard mutex
-// or installing an in-flight entry — the batch-local equivalent of
-// coalescing, accounted as such in Stats, paid as plain slice reads.
-// Distinct keys are then striped across at most Workers() feeder
-// goroutines (never one goroutine per key), so a batch of N distinct
-// runs performs exactly N scheduler transactions regardless of how many
-// duplicates ride along.
-func (e *Executor) SubmitAll(ctx context.Context, keys []Key) <-chan Outcome {
-	out := make(chan Outcome)
-	if len(keys) == 0 {
-		close(out)
-		return out
-	}
-	// Pre-partition: group the batch by content address. leaders holds
-	// the first key index of each group in batch order; followers[g]
-	// holds the later indices sharing group g's address.
-	groupOf := make(map[ID]int, len(keys))
-	leaders := make([]int, 0, len(keys))
-	var followers [][]int
-	dups := 0
-	for i, k := range keys {
-		id := k.ID()
-		if g, ok := groupOf[id]; ok {
-			if followers == nil {
-				followers = make([][]int, len(keys))
-			}
-			followers[g] = append(followers[g], i)
-			dups++
-			continue
-		}
-		groupOf[id] = len(leaders)
-		leaders = append(leaders, i)
-	}
-	if dups > 0 {
-		// Followers resolve from their leader below; account them once
-		// as a batch instead of once per run.
-		e.cnt.submitted.Add(int64(dups))
-		e.cnt.coalesced.Add(int64(dups))
-		e.metrics.submitted.Add(float64(dups))
-		e.metrics.coalesced.Add(float64(dups))
-	}
-	feeders := e.workers
-	if feeders > len(leaders) {
-		feeders = len(leaders)
-	}
-	results := make(chan Outcome, len(keys))
+// SubmitAll submits every key of the batch, at most Workers() at a time,
+// and returns the outcomes indexed like keys. Duplicate keys resolve
+// like any concurrent Submit, through the in-flight entry or the LRU.
+// Cancelling ctx resolves the remaining submissions with ctx.Err().
+func (e *Executor) SubmitAll(ctx context.Context, keys []Key) []Outcome {
+	out := make([]Outcome, len(keys))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < feeders; i++ {
+	for range min(e.workers, len(keys)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				g := int(next.Add(1)) - 1
-				if g >= len(leaders) {
-					return
-				}
-				li := leaders[g]
-				run, err := e.Submit(ctx, keys[li])
-				results <- Outcome{Idx: li, Key: keys[li], Run: run, Err: err}
-				if followers != nil {
-					for _, fi := range followers[g] {
-						e.emit(Event{Kind: EventCoalesced, Key: keys[fi], QueueDepth: int(e.queued.Load())})
-						results <- Outcome{Idx: fi, Key: keys[fi], Run: run, Err: err}
-					}
-				}
+			for i := int(next.Add(1)) - 1; i < len(keys); i = int(next.Add(1)) - 1 {
+				out[i].Run, out[i].Err = e.Submit(ctx, keys[i])
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	go func() {
-		defer close(out)
-		pending := make(map[int]Outcome)
-		want := 0
-		for res := range results {
-			pending[res.Idx] = res
-			for {
-				o, ok := pending[want]
-				if !ok {
-					break
-				}
-				delete(pending, want)
-				want++
-				out <- o
-			}
-		}
-	}()
+	wg.Wait()
 	return out
-}
-
-// Summary schedules runs 0..n-1 of the key's configuration as one batch
-// and aggregates them with the paper's protocol (drop the fastest and
-// slowest, average the rest). The template key's Idx is ignored.
-func (e *Executor) Summary(ctx context.Context, key Key, n int) (metrics.Summary, error) {
-	if n < 1 {
-		return metrics.Summary{}, fmt.Errorf("exec: need at least one run, got %d", n)
-	}
-	keys := make([]Key, n)
-	for i := range keys {
-		keys[i] = key
-		keys[i].Idx = i
-	}
-	runs := make([]metrics.Run, 0, n)
-	var firstErr error
-	for o := range e.SubmitAll(ctx, keys) {
-		if o.Err != nil && firstErr == nil {
-			firstErr = o.Err
-		}
-		runs = append(runs, o.Run)
-	}
-	if firstErr != nil {
-		return metrics.Summary{}, firstErr
-	}
-	return metrics.Summarize(runs)
 }
 
 func (e *Executor) emit(ev Event) {

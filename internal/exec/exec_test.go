@@ -115,9 +115,7 @@ func TestSubmitCoalesces(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	var execs atomic.Int64
-	// One shard, so the three keys compete for the same two-entry LRU
-	// segment regardless of how they hash.
-	e := New(countRunner(&execs), WithCacheSize(2), WithShards(1))
+	e := New(countRunner(&execs), WithCacheSize(2))
 	ctx := context.Background()
 	for _, idx := range []int{0, 1, 2} {
 		if _, err := e.Submit(ctx, testKey(idx)); err != nil {
@@ -132,8 +130,8 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("runner executed %d times, want 4", n)
 	}
 	st := e.Stats()
-	if st.Evicted < 1 {
-		t.Fatalf("stats = %+v, want at least one eviction", st)
+	if st.Evicted != 2 {
+		t.Fatalf("stats = %+v, want two evictions (key 0 by key 2, key 1 by key 0)", st)
 	}
 	if st.CacheHits != 0 {
 		t.Fatalf("unexpected cache hit: %+v", st)
@@ -240,27 +238,6 @@ func TestFailedRunsAreNotCached(t *testing.T) {
 	}
 }
 
-func TestSubmitUncachedBypassesMemoisation(t *testing.T) {
-	var execs atomic.Int64
-	e := New(countRunner(&execs))
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		if _, err := e.SubmitUncached(ctx, testKey(0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Uncached submissions neither read nor populate the cache.
-	if _, err := e.Submit(ctx, testKey(0)); err != nil {
-		t.Fatal(err)
-	}
-	if n := execs.Load(); n != 3 {
-		t.Fatalf("runner executed %d times, want 3", n)
-	}
-	if st := e.Stats(); st.CacheHits != 0 || st.Started != 3 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestSubmitFreshWritesThrough(t *testing.T) {
 	var execs atomic.Int64
 	e := New(countRunner(&execs), WithDiskCache(t.TempDir(), "test-v1"))
@@ -302,33 +279,46 @@ func TestSubmitFreshWritesThrough(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
+// TestSubmitNeverJoinsFreshRun pins that a fresh submission installs no
+// in-flight entry: a plain Submit of a key whose fresh run is executing
+// executes on its own instead of waiting for it.
+func TestSubmitNeverJoinsFreshRun(t *testing.T) {
+	release := make(chan struct{})
 	var execs atomic.Int64
-	e := New(countRunner(&execs))
-	sum, err := e.Summary(context.Background(), testKey(99), 5)
-	if err != nil {
+	e := New(func(ctx context.Context, key Key) (metrics.Run, error) {
+		if execs.Add(1) == 1 {
+			<-release
+		}
+		return metrics.Run{App: key.App, Governor: key.Governor}, nil
+	})
+	ctx := context.Background()
+	freshDone := make(chan error, 1)
+	go func() {
+		_, err := e.SubmitFresh(ctx, testKey(0))
+		freshDone <- err
+	}()
+	for execs.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	plainDone := make(chan error, 1)
+	go func() {
+		_, err := e.Submit(ctx, testKey(0))
+		plainDone <- err
+	}()
+	select {
+	case err := <-plainDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Submit waited for a fresh run of its key")
+	}
+	close(release)
+	if err := <-freshDone; err != nil {
 		t.Fatal(err)
 	}
-	// Runs take 1..5 s; the protocol drops the fastest and slowest.
-	if sum.N != 3 || sum.Time.Mean != 3 || sum.Time.Min != 2 || sum.Time.Max != 4 {
-		t.Fatalf("summary = %+v", sum)
-	}
-	if n := execs.Load(); n != 5 {
-		t.Fatalf("runner executed %d times, want 5", n)
-	}
-	// A second identical summary is served entirely from cache.
-	if _, err := e.Summary(context.Background(), testKey(0), 5); err != nil {
-		t.Fatal(err)
-	}
-	if n := execs.Load(); n != 5 {
-		t.Fatalf("cached summary re-executed: %d", n)
-	}
-	if st := e.Stats(); st.CacheHits != 5 {
-		t.Fatalf("stats = %+v", st)
-	}
-
-	if _, err := e.Summary(context.Background(), testKey(0), 0); err == nil {
-		t.Fatal("Summary accepted n=0")
+	if st := e.Stats(); execs.Load() != 2 || st.Coalesced != 0 || st.Started != 2 {
+		t.Fatalf("stats = %+v after %d executions, want 2 started and none coalesced", st, execs.Load())
 	}
 }
 
@@ -427,14 +417,6 @@ func TestOptionDefaultsRestoredByNonPositive(t *testing.T) {
 	if e.cacheSize != DefaultCacheSize {
 		t.Fatalf("cacheSize = %d, want default %d", e.cacheSize, DefaultCacheSize)
 	}
-	e = New(countRunner(new(atomic.Int64)), WithShards(5))
-	if e.Shards() != 8 {
-		t.Fatalf("Shards() = %d, want 8 (rounded up to a power of two)", e.Shards())
-	}
-	e = New(countRunner(new(atomic.Int64)), WithShards(4), WithShards(0))
-	if want := defaultShardsFor(e.Workers()); e.Shards() != want {
-		t.Fatalf("Shards() = %d, want default %d for %d workers", e.Shards(), want, e.Workers())
-	}
 }
 
 func TestSubmitAllOrderedAndDeduplicated(t *testing.T) {
@@ -444,23 +426,17 @@ func TestSubmitAllOrderedAndDeduplicated(t *testing.T) {
 	for i := range keys {
 		keys[i] = testKey(i % 10) // each distinct key appears four times
 	}
-	var idxs []int
-	for o := range e.SubmitAll(context.Background(), keys) {
+	outs := e.SubmitAll(context.Background(), keys)
+	if len(outs) != len(keys) {
+		t.Fatalf("got %d outcomes, want %d", len(outs), len(keys))
+	}
+	for i, o := range outs {
 		if o.Err != nil {
 			t.Fatal(o.Err)
 		}
-		if want := time.Duration(o.Key.Idx+1) * time.Second; o.Run.Time != want {
-			t.Fatalf("outcome %d: run time %v, want %v", o.Idx, o.Run.Time, want)
+		if want := time.Duration(keys[i].Idx+1) * time.Second; o.Run.Time != want {
+			t.Fatalf("outcome %d: run time %v, want %v", i, o.Run.Time, want)
 		}
-		idxs = append(idxs, o.Idx)
-	}
-	for i, idx := range idxs {
-		if idx != i {
-			t.Fatalf("outcomes out of order: position %d carries index %d", i, idx)
-		}
-	}
-	if len(idxs) != len(keys) {
-		t.Fatalf("got %d outcomes, want %d", len(idxs), len(keys))
 	}
 	if n := execs.Load(); n != 10 {
 		t.Fatalf("runner executed %d times, want 10 (duplicates served from cache or coalesced)", n)
@@ -476,39 +452,24 @@ func TestSubmitAllOrderedAndDeduplicated(t *testing.T) {
 
 func TestSubmitAllEmptyAndCancelled(t *testing.T) {
 	e := New(countRunner(new(atomic.Int64)))
-	if _, ok := <-e.SubmitAll(context.Background(), nil); ok {
-		t.Fatal("empty batch delivered an outcome")
+	if outs := e.SubmitAll(context.Background(), nil); len(outs) != 0 {
+		t.Fatalf("empty batch delivered %d outcomes", len(outs))
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	keys := []Key{testKey(0), testKey(1), testKey(2)}
-	n := 0
-	for o := range e.SubmitAll(ctx, keys) {
-		if !errors.Is(o.Err, context.Canceled) {
-			t.Fatalf("outcome %d err = %v, want context.Canceled", o.Idx, o.Err)
-		}
-		n++
+	outs := e.SubmitAll(ctx, keys)
+	if len(outs) != len(keys) {
+		t.Fatalf("cancelled batch delivered %d outcomes, want %d", len(outs), len(keys))
 	}
-	if n != len(keys) {
-		t.Fatalf("cancelled batch delivered %d outcomes, want %d", n, len(keys))
+	for i, o := range outs {
+		if !errors.Is(o.Err, context.Canceled) {
+			t.Fatalf("outcome %d err = %v, want context.Canceled", i, o.Err)
+		}
 	}
 	st := e.Stats()
 	if st.Cancelled != 3 || st.Started != 3 {
 		t.Fatalf("stats = %+v, want 3 started and 3 cancelled", st)
-	}
-}
-
-func TestShardDistribution(t *testing.T) {
-	// Distinct keys must spread across shards: with 1000 keys on 16
-	// shards, every shard should see some traffic.
-	e := New(countRunner(new(atomic.Int64)))
-	hit := make(map[uint64]bool)
-	for i := 0; i < 1000; i++ {
-		id := testKey(i).ID()
-		hit[id.hash()&e.shardMask] = true
-	}
-	if len(hit) != e.Shards() {
-		t.Fatalf("1000 distinct keys touched only %d of %d shards", len(hit), e.Shards())
 	}
 }

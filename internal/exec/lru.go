@@ -9,7 +9,7 @@ import (
 // instead of pointers, a free list instead of node allocation — so get,
 // add and evict are allocation-free after construction and the settle
 // path never feeds the garbage collector. It is not safe for concurrent
-// use; the Executor serialises access under its shard mutex.
+// use; the Executor serialises access under its mutex.
 type lruCache struct {
 	items   map[ID]int32
 	entries []lruEntry

@@ -33,14 +33,13 @@ type (
 // DefaultGuardConfig returns the hardened-controller guard defaults.
 func DefaultGuardConfig() GuardConfig { return control.DefaultGuard() }
 
-// TraceRecorder is a run's full per-socket time-series recording.
+// TraceRecorder is a run's full per-socket time-series recording, read
+// with Points or All.
 //
-// Deprecated in spirit for new consumers: a recorder holds every sample
-// of the run in memory. Prefer streaming the samples into a TraceSink
-// (WithTraceSink) — a TraceReservoir for bounded plotting data, a
-// windowed or whole-run summary, or a CSV/JSONL writer — and, when a
-// recorder is unavoidable, iterate it with Points/All instead of the
-// slice-returning Socket.
+// A recorder holds every sample of the run in memory. New consumers
+// should prefer streaming the samples into a TraceSink (WithTraceSink):
+// a TraceReservoir for bounded plotting data, a windowed or whole-run
+// summary, or a CSV/JSONL writer.
 type TraceRecorder = trace.Recorder
 
 // Streaming trace facade (see internal/trace). A sink observes each

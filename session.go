@@ -109,6 +109,9 @@ func (s Session) attach(m *sim.Machine, mk GovernorFunc, runSeed int64, dev msr.
 		if err != nil {
 			return nil, nil, err
 		}
+		if mk == nil {
+			continue // the baseline: no controller
+		}
 		inst, err := mk(control.Actuators{
 			Spec:    spec,
 			Monitor: mon,
@@ -286,10 +289,8 @@ func (s Session) execute(ctx context.Context, app App, mk GovernorFunc, idx int,
 // fastest and slowest, average the rest). Runs already memoised are
 // served from cache; ctx cancels the remainder between decision rounds.
 func (s Session) SummarizeCtx(ctx context.Context, app App, gov Governor, n int) (Summary, error) {
-	if n < 1 {
-		return Summary{}, fmt.Errorf("dufp: need at least one run, got %d: %w", n, ErrBadConfig)
-	}
-	return s.executor().Summary(ctx, s.runKey(s.fingerprint(), app, gov, 0), n)
+	o := s.SummarizeAll(ctx, []SummaryRequest{{App: app, Governor: gov}}, n)[0]
+	return o.Summary, o.Err
 }
 
 // SummaryRequest names one (application, governor) configuration of a
@@ -342,24 +343,15 @@ func (s Session) SummarizeAll(ctx context.Context, reqs []SummaryRequest, n int)
 			keys = append(keys, key)
 		}
 	}
+	outs := s.executor().SubmitAll(ctx, keys)
 	runs := make([]Run, len(keys))
-	errs := make([]error, len(reqs))
-	for o := range s.executor().SubmitAll(ctx, keys) {
-		r := o.Idx / n
-		if o.Err != nil {
-			if errs[r] == nil {
-				errs[r] = o.Err
-			}
-			continue
+	for r := range out {
+		for i := r * n; i < (r+1)*n && out[r].Err == nil; i++ {
+			runs[i], out[r].Err = outs[i].Run, outs[i].Err
 		}
-		runs[o.Idx] = o.Run
-	}
-	for r := range reqs {
-		if errs[r] != nil {
-			out[r].Err = errs[r]
-			continue
+		if out[r].Err == nil {
+			out[r].Summary, out[r].Err = metrics.Summarize(runs[r*n : (r+1)*n])
 		}
-		out[r].Summary, out[r].Err = metrics.Summarize(runs[r*n : (r+1)*n])
 	}
 	return out
 }

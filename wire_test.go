@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dufp"
+	"dufp/internal/control"
 )
 
 // TestRunSpecRoundTrip encodes a spec and decodes it back, requiring the
@@ -91,7 +92,7 @@ func TestRunSpecRejections(t *testing.T) {
 		}
 	}
 
-	anon := dufp.GovernorOf(dufp.DUFP(dufp.DefaultControlConfig(0.10)).Func())
+	anon := dufp.GovernorOf(func(control.Actuators) (control.Instance, error) { return nil, nil })
 	if _, err := json.Marshal(dufp.RunSpec{Governor: anon}); err == nil {
 		t.Error("anonymous governor marshalled without error")
 	}
