@@ -56,11 +56,13 @@ vet:
 # simulator's copy of math/rand's jitter generator against math/rand
 # itself, and the RAPL limiter's kernel-built Step against its reference
 # oracle. The third feeds arbitrary bytes to the disk cache's DUFPSEG3
-# segment reader. Their seed inputs also run under `make test`.
+# segment reader, the fourth arbitrary query strings to dufpd's
+# /v1/runs/{id}/samples. Their seed inputs also run under `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzJitterRNG$$' -fuzztime 15s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzLimiterKernel$$' -fuzztime 15s ./internal/rapl/
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime 15s ./internal/exec/diskcache/
+	$(GO) test -run '^$$' -fuzz '^FuzzSamplesQuery$$' -fuzztime 15s ./internal/api/
 
 # cover enforces a floor on the telemetry layer's test coverage: the
 # registry and timeline are pure data plumbing, so near-total coverage is

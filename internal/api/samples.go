@@ -114,33 +114,25 @@ type RunSamples struct {
 	Points []SamplePoint `json:"points"`
 }
 
-// pageSamples snapshots one socket of a reservoir and cuts the
-// requested page. limit <= 0 means the remainder.
+// pageSamples cuts the requested page of one socket's retained view in
+// one locked read of the reservoir. limit <= 0 means the remainder.
 func pageSamples(id string, r *trace.Reservoir, socket, offset, limit int) RunSamples {
-	snap := r.Snapshot(socket)
+	pg := r.Page(socket, offset, limit)
 	out := RunSamples{
 		ID:      id,
 		Socket:  socket,
-		Sockets: r.Sockets(),
-		Seen:    r.Seen(socket),
-		Stride:  r.Stride(socket),
-		Total:   len(snap),
+		Sockets: pg.Sockets,
+		Seen:    pg.Seen,
+		Stride:  pg.Stride,
+		Total:   pg.Total,
+		Offset:  pg.Offset,
 		Next:    -1,
+		Points:  make([]SamplePoint, len(pg.Points)),
 	}
-	if offset < 0 {
-		offset = 0
+	if end := pg.Offset + len(pg.Points); end < pg.Total {
+		out.Next = end
 	}
-	if offset > len(snap) {
-		offset = len(snap)
-	}
-	out.Offset = offset
-	page := snap[offset:]
-	if limit > 0 && limit < len(page) {
-		page = page[:limit]
-		out.Next = offset + limit
-	}
-	out.Points = make([]SamplePoint, len(page))
-	for i, p := range page {
+	for i, p := range pg.Points {
 		out.Points[i] = samplePoint(p)
 	}
 	return out

@@ -1,15 +1,21 @@
 package api
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"testing"
+	"time"
 
 	"dufp"
-
-	"net/http/httptest"
+	"dufp/internal/sim"
+	"dufp/internal/units"
 )
 
 // runTracedJob submits one EP run and waits for it; the daemon's sample
@@ -94,6 +100,22 @@ func TestRunSamplesPagination(t *testing.T) {
 		if paged[i] != all.Points[i] {
 			t.Fatalf("point %d differs between paged and full reads", i)
 		}
+	}
+
+	// One raw page, byte for byte: the run's samples, field names and
+	// order, and the compact body encoding.
+	resp, err := http.Get(base + "?socket=0&offset=0&limit=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goldenPage = "aa78774701a718d11724bca421870725dbb29c493ca6d40c1c75060b8d06e95b"
+	if sum := fmt.Sprintf("%x", sha256.Sum256(body)); sum != goldenPage {
+		t.Errorf("golden page: sha256 %s, want %s; body:\n%s", sum, goldenPage, body)
 	}
 
 	// Unknown runs and bad parameters fail loudly.
@@ -199,4 +221,130 @@ func TestSampleStoreEviction(t *testing.T) {
 	if st := newSampleStore(-1, 0); st != nil {
 		t.Error("negative capacity should disable the store")
 	}
+}
+
+// FuzzSamplesQuery sends arbitrary query strings to GET
+// /v1/runs/{id}/samples over one retained reservoir holding a fixed
+// synthetic series on two sockets, decimated past stride 1, and checks
+// each answer against the reservoir: 200 or 400 and nothing else, a page
+// equal to its slice of Snapshot with at most limit points, next either
+// -1 or the page's end, a total that follows from seen and stride, and
+// NDJSON lines equal to Snapshot from the offset on.
+func FuzzSamplesQuery(f *testing.F) {
+	cfg := testConfig()
+	cfg.SamplePointsPerSocket = 16
+	d, err := New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { d.Close() })
+	const id = "fuzzrun"
+	r := d.samples.start(id)
+	for socket, n := range []int{100, 37} {
+		for i := 0; i < n; i++ {
+			r.Consume(socket, sim.TracePoint{
+				Time:     time.Duration(i) * 10 * time.Millisecond,
+				CoreFreq: units.Frequency(2e9 + float64(i%7)*1e8),
+				PkgPower: units.Power(80 + float64(i%11)),
+				CapPL1:   units.Power(100 + socket),
+			})
+		}
+	}
+	if r.Stride(0) < 2 || r.Stride(1) < 2 {
+		f.Fatalf("strides %d, %d: the series must be decimated", r.Stride(0), r.Stride(1))
+	}
+	for _, q := range []string{
+		"", "socket=1", "socket=-1", "socket=99", "offset=-1", "offset=40",
+		"limit=0", "limit=-5", "offset=9223372036854775807", "socket=x",
+		"offset=1e3", "limit=seven", "format=ndjson",
+		"socket=1&offset=3&limit=4&format=ndjson", "offset=5&limit=3",
+	} {
+		f.Add(q)
+	}
+	h := d.Handler()
+
+	f.Fuzz(func(t *testing.T, q string) {
+		req := httptest.NewRequest(http.MethodGet, "/v1/runs/"+id+"/samples", nil)
+		req.URL.RawQuery = q
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest:
+			return
+		default:
+			t.Fatalf("?%s: HTTP %d: %s", q, rec.Code, rec.Body)
+		}
+		// A 200 means every parameter parsed (missing ones default to 0)
+		// and the offset is not negative.
+		vals := req.URL.Query()
+		socket, _ := strconv.Atoi(vals.Get("socket"))
+		offset, _ := strconv.Atoi(vals.Get("offset"))
+		limit, _ := strconv.Atoi(vals.Get("limit"))
+		snap := r.Snapshot(socket)
+		from := min(offset, len(snap))
+
+		if vals.Get("format") == "ndjson" {
+			dec := json.NewDecoder(rec.Body)
+			var got []SamplePoint
+			for {
+				var p SamplePoint
+				if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+					break
+				} else if err != nil {
+					t.Fatalf("?%s: NDJSON line %d: %v", q, len(got), err)
+				}
+				got = append(got, p)
+			}
+			if msg := samePoints(got, snap[from:]); msg != "" {
+				t.Fatalf("?%s: NDJSON %s", q, msg)
+			}
+			return
+		}
+
+		var page RunSamples
+		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+			t.Fatalf("?%s: %v", q, err)
+		}
+		if page.Socket != socket || page.Offset != from || page.Total != len(snap) {
+			t.Fatalf("?%s: socket %d offset %d total %d, want %d, %d, %d",
+				q, page.Socket, page.Offset, page.Total, socket, from, len(snap))
+		}
+		if limit > 0 && len(page.Points) > limit {
+			t.Fatalf("?%s: %d points over limit %d", q, len(page.Points), limit)
+		}
+		if page.Next != -1 && page.Next != page.Offset+len(page.Points) {
+			t.Fatalf("?%s: next %d, page ends at %d", q, page.Next, page.Offset+len(page.Points))
+		}
+		if page.Seen == 0 {
+			if page.Total != 0 {
+				t.Fatalf("?%s: total %d with nothing seen", q, page.Total)
+			}
+		} else {
+			seen, stride := int(page.Seen), page.Stride
+			want := (seen + stride - 1) / stride
+			if (seen-1)%stride != 0 {
+				want++
+			}
+			if page.Total != want {
+				t.Fatalf("?%s: seen %d stride %d total %d, want %d", q, seen, stride, page.Total, want)
+			}
+		}
+		if msg := samePoints(page.Points, snap[from:from+len(page.Points)]); msg != "" {
+			t.Fatalf("?%s: page %s", q, msg)
+		}
+	})
+}
+
+// samePoints compares served points with the reservoir's, by value.
+func samePoints(got []SamplePoint, want []sim.TracePoint) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("has %d points, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != samplePoint(want[i]) {
+			return fmt.Sprintf("point %d differs", i)
+		}
+	}
+	return ""
 }

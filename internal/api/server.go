@@ -95,13 +95,11 @@ func (d *Daemon) instrument(label string, h http.HandlerFunc) http.Handler {
 	})
 }
 
-// writeJSON writes a JSON response body.
+// writeJSON writes a compact JSON response body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // writeError maps a submission error to its status code.

@@ -21,9 +21,13 @@
 // ceiling. The window itself watches the tick-level events that cannot be
 // predicted without integrating state forward: the RAPL limiter's
 // running-average crossing a limit (a core-frequency transition) and a
-// phase boundary (including workload completion). Any condition the fast
-// path cannot prove invariant simply falls back to the exact loop — the
-// fast path is an optimisation, never a second semantics.
+// phase boundary (including workload completion). A window cut by a
+// loop-level bound alone changes none of establish's inputs, so Run
+// enters the next one with the same constants; a tick-level event, an
+// exact tick or a governor round makes it derive them again. Any
+// condition the fast path cannot prove invariant simply falls back to
+// the exact loop — the fast path is an optimisation, never a second
+// semantics.
 package sim
 
 import (
@@ -155,7 +159,9 @@ func (m *Machine) establish() bool {
 // tick, with the boundary pre-check, the power jitter and the RAPL
 // limiter evaluated every tick — the reference accumulation, verbatim.
 // A tick-level event (phase boundary, limiter transition) ends the
-// window early.
+// window, possibly on its last tick, and is reported in event. A window
+// that returns event == false ran all w ticks and left every input of
+// establish as it found it, so its constants still hold.
 //
 // A socket-tick makes no call, no interface dispatch and no struct copy:
 // the jitter draw inlines NormFloat64's accepted case (≈ 97 % of draws;
@@ -163,16 +169,16 @@ func (m *Machine) establish() bool {
 // kernel establish built. The tick's package energy, which the reference
 // settle holds in pendingEnergy (zero at every tick start), lives in a
 // local.
-func (m *Machine) window(w int) int {
+func (m *Machine) window(w int) (n int, event bool) {
 	dt := m.dt
 	tickSecs := m.tickSecs
 	progress := m.fastProgress
 	jitterSD := m.cfg.PowerJitterSD
-	n := 0
 	for n < w {
 		// A partial step inside this tick means a phase boundary: the
 		// exact loop owns mixed ticks.
 		if progress > 0 && m.sockets[0].remaining/progress < dt {
+			event = true
 			break
 		}
 		boundary, transition := false, false
@@ -233,6 +239,7 @@ func (m *Machine) window(w int) int {
 		}
 		m.now += m.cfg.Tick
 		if boundary || transition {
+			event = true
 			break
 		}
 	}
@@ -240,7 +247,7 @@ func (m *Machine) window(w int) int {
 		m.fastTicksRun += int64(n)
 		m.fastWindowsRun++
 	}
-	return n
+	return n, event
 }
 
 // FastTicks returns the number of physics ticks of the most recent run

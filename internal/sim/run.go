@@ -216,6 +216,15 @@ func (m *Machine) Run(opts RunOpts) (Result, error) {
 
 	wallStart := time.Now()
 	tick := 0
+	// established is set while the last window ran out at a loop-level
+	// bound with no tick-level event: no input of establish has moved
+	// since, so the next window reuses its constants. A window that ends
+	// on an event clears it — a zero-tick window always does, so every
+	// exact tick runs with it clear — and so does every pass through the
+	// governor block, whether or not a governor ran. The cancellation
+	// check and the trace hook leave it set: the first reads only the
+	// context, the second only observes.
+	established := false
 	for ; !m.done(); tick++ {
 		if tick >= maxTicks {
 			return Result{}, fmt.Errorf("sim: run exceeded MaxDuration %v", m.cfg.MaxDuration)
@@ -226,7 +235,7 @@ func (m *Machine) Run(opts RunOpts) (Result, error) {
 			}
 		}
 		stepped := false
-		if fastOK && m.stall == 0 && m.establish() {
+		if established || fastOK && m.stall == 0 && m.establish() {
 			// Event horizon: ticks until the next loop-level event. The
 			// window may end ON a governor or trace tick — both fire after
 			// that tick's physics, from state the macro-step fully
@@ -246,10 +255,12 @@ func (m *Machine) Run(opts RunOpts) (Result, error) {
 				}
 				w = min(w, d)
 			}
-			if n := m.window(w); n > 0 {
+			n, event := m.window(w)
+			if n > 0 {
 				tick += n - 1
 				stepped = true
 			}
+			established = !event
 		}
 		if !stepped {
 			m.stepPhysics(dt)
@@ -257,6 +268,7 @@ func (m *Machine) Run(opts RunOpts) (Result, error) {
 		}
 
 		if ctrlTicks > 0 && (tick+1)%ctrlTicks == 0 {
+			established = false
 			var roundStart time.Duration
 			if opts.Spans != nil {
 				roundStart = opts.Spans.Now()

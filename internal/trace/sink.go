@@ -227,12 +227,72 @@ type Reservoir struct {
 	sum      Summarizer
 }
 
+// reservoirBlock is how many points one storage block of a Reservoir
+// holds: 256 × 72 B is 18 KiB, a small-object size class. A socket's
+// retained points fill its blocks in order and a full last block gets a
+// new one after it, so no append ever copies the series and no more
+// than one partly filled block sits idle.
+const reservoirBlock = 256
+
 type reservoirSocket struct {
-	kept    []sim.TracePoint
+	// blocks holds the n retained points in time order, point i at
+	// blocks[i/reservoirBlock][i%reservoirBlock].
+	blocks  []*[reservoirBlock]sim.TracePoint
+	n       int
 	stride  int
 	seen    int64
 	last    sim.TracePoint
 	hasLast bool
+}
+
+// at returns the i-th retained point.
+func (s *reservoirSocket) at(i int) *sim.TracePoint {
+	return &s.blocks[i/reservoirBlock][i%reservoirBlock]
+}
+
+// keep appends p to the retained points.
+func (s *reservoirSocket) keep(p sim.TracePoint) {
+	if s.n == len(s.blocks)*reservoirBlock {
+		s.blocks = append(s.blocks, new([reservoirBlock]sim.TracePoint))
+	}
+	*s.at(s.n) = p
+	s.n++
+}
+
+// halve keeps every other retained point — exactly the samples a
+// doubled stride would have kept — moving them forward in place, and
+// drops the blocks that leaves empty.
+func (s *reservoirSocket) halve() {
+	n := (s.n + 1) / 2
+	for i := 1; i < n; i++ {
+		*s.at(i) = *s.at(2 * i)
+	}
+	used := (n + reservoirBlock - 1) / reservoirBlock
+	clear(s.blocks[used:])
+	s.blocks = s.blocks[:used]
+	s.n = n
+}
+
+// total is the length of the socket's view: the retained points plus
+// the most recent sample when the stride grid skipped it.
+func (s *reservoirSocket) total() int {
+	if s.hasLast && (s.n == 0 || s.at(s.n-1).Time != s.last.Time) {
+		return s.n + 1
+	}
+	return s.n
+}
+
+// view copies the socket's view from point from on into dst, as much as
+// dst holds; from+len(dst) must not exceed total.
+func (s *reservoirSocket) view(dst []sim.TracePoint, from int) {
+	for len(dst) > 0 && from < s.n {
+		b := s.blocks[from/reservoirBlock][from%reservoirBlock:]
+		k := copy(dst, b[:min(len(b), s.n-from)])
+		dst, from = dst[k:], from+k
+	}
+	if len(dst) > 0 {
+		dst[0] = s.last
+	}
 }
 
 // NewReservoir returns a reservoir retaining at most pointsPerSocket
@@ -257,15 +317,9 @@ func (r *Reservoir) Consume(socket int, p sim.TracePoint) {
 	r.sum.Consume(socket, p)
 	s := r.sockets[socket]
 	if s.seen%int64(s.stride) == 0 {
-		s.kept = append(s.kept, p)
-		if len(s.kept) > r.capacity {
-			// Compact to every other retained point; the survivors are
-			// exactly the samples a doubled stride would have kept.
-			half := s.kept[:0]
-			for i := 0; i < len(s.kept); i += 2 {
-				half = append(half, s.kept[i])
-			}
-			s.kept = half
+		s.keep(p)
+		if s.n > r.capacity {
+			s.halve()
 			s.stride *= 2
 		}
 	}
@@ -294,7 +348,12 @@ func (r *Reservoir) Seen(socket int) int64 {
 // Len returns the number of samples currently retained for a socket
 // (including the trailing sample Snapshot appends).
 func (r *Reservoir) Len(socket int) int {
-	return len(r.Snapshot(socket))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if socket < 0 || socket >= len(r.sockets) {
+		return 0
+	}
+	return r.sockets[socket].total()
 }
 
 // Stride returns the socket's current decimation stride; 1 means the
@@ -311,18 +370,44 @@ func (r *Reservoir) Stride(socket int) int {
 // Snapshot copies the retained view of one socket: every stride-th
 // sample plus the most recent one, in time order.
 func (r *Reservoir) Snapshot(socket int) []sim.TracePoint {
+	return r.Page(socket, 0, 0).Points
+}
+
+// Page is one consistent read of a socket's retained view, taken under
+// a single lock: Seen, Stride and Total describe the same moment, and
+// Points holds view points [Offset, Offset+len(Points)).
+type Page struct {
+	// Sockets counts the sockets that have produced samples.
+	Sockets int
+	// Seen, Stride and Total are what Seen, Stride and Len return.
+	Seen   int64
+	Stride int
+	Total  int
+	// Offset is the requested offset clamped to [0, Total].
+	Offset int
+	Points []sim.TracePoint
+}
+
+// Page copies up to limit points of a socket's retained view starting
+// at offset (limit <= 0 means the remainder), copying no point outside
+// the page.
+func (r *Reservoir) Page(socket, offset, limit int) Page {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	pg := Page{Sockets: len(r.sockets), Stride: 1}
 	if socket < 0 || socket >= len(r.sockets) {
-		return nil
+		return pg
 	}
 	s := r.sockets[socket]
-	out := make([]sim.TracePoint, len(s.kept), len(s.kept)+1)
-	copy(out, s.kept)
-	if s.hasLast && (len(out) == 0 || out[len(out)-1].Time != s.last.Time) {
-		out = append(out, s.last)
+	pg.Seen, pg.Stride, pg.Total = s.seen, s.stride, s.total()
+	pg.Offset = min(max(offset, 0), pg.Total)
+	n := pg.Total - pg.Offset
+	if limit > 0 && limit < n {
+		n = limit
 	}
-	return out
+	pg.Points = make([]sim.TracePoint, n)
+	s.view(pg.Points, pg.Offset)
+	return pg
 }
 
 // Points returns an iterator over the retained view of one socket. The

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,62 +80,115 @@ func TestWindowStatsBitIdenticalToSliceWindow(t *testing.T) {
 }
 
 func TestReservoirLosslessUnderCapacity(t *testing.T) {
-	pts := points(100)
-	r := NewReservoir(128)
-	feed(r, 0, pts)
-	snap := r.Snapshot(0)
-	if len(snap) != len(pts) {
-		t.Fatalf("snapshot has %d points, want %d (lossless)", len(snap), len(pts))
-	}
-	for i := range pts {
-		if snap[i] != pts[i] {
-			t.Fatalf("point %d differs", i)
+	// Capacities below, at and above one storage block, and series that
+	// end inside, at and just past a block edge.
+	for _, tc := range []struct{ n, capacity int }{
+		{100, 128},
+		{reservoirBlock - 1, reservoirBlock},
+		{reservoirBlock, reservoirBlock},
+		{reservoirBlock + 1, 2 * reservoirBlock},
+		{2*reservoirBlock + 1, 3*reservoirBlock - 7},
+		{3*reservoirBlock - 7, 3*reservoirBlock - 7},
+	} {
+		pts := points(tc.n)
+		r := NewReservoir(tc.capacity)
+		feed(r, 0, pts)
+		snap := r.Snapshot(0)
+		if len(snap) != len(pts) || r.Len(0) != len(pts) {
+			t.Fatalf("n=%d cap=%d: snapshot has %d points, Len %d, want %d (lossless)",
+				tc.n, tc.capacity, len(snap), r.Len(0), len(pts))
 		}
-	}
-	if r.Stride(0) != 1 {
-		t.Fatalf("stride = %d, want 1", r.Stride(0))
-	}
-	if r.Seen(0) != int64(len(pts)) {
-		t.Fatalf("seen = %d", r.Seen(0))
+		for i := range pts {
+			if snap[i] != pts[i] {
+				t.Fatalf("n=%d cap=%d: point %d differs", tc.n, tc.capacity, i)
+			}
+		}
+		if r.Stride(0) != 1 {
+			t.Fatalf("n=%d cap=%d: stride = %d, want 1", tc.n, tc.capacity, r.Stride(0))
+		}
+		if r.Seen(0) != int64(len(pts)) {
+			t.Fatalf("n=%d cap=%d: seen = %d", tc.n, tc.capacity, r.Seen(0))
+		}
+		// A page that straddles the first block edge copies the same
+		// points as the snapshot holds there.
+		from := min(reservoirBlock-2, len(snap))
+		pg := r.Page(0, reservoirBlock-2, 5)
+		want := snap[from:min(from+5, len(snap))]
+		if pg.Total != len(snap) || pg.Offset != from || len(pg.Points) != len(want) {
+			t.Fatalf("n=%d cap=%d: page total %d offset %d with %d points, want %d, %d, %d",
+				tc.n, tc.capacity, pg.Total, pg.Offset, len(pg.Points), len(snap), from, len(want))
+		}
+		for i := range want {
+			if pg.Points[i] != want[i] {
+				t.Fatalf("n=%d cap=%d: page point %d differs", tc.n, tc.capacity, i)
+			}
+		}
 	}
 }
 
 func TestReservoirCompactsDeterministically(t *testing.T) {
-	pts := points(10000)
-	r := NewReservoir(64)
-	feed(r, 0, pts)
-	snap := r.Snapshot(0)
-	if len(snap) > 65 { // capacity + trailing last sample
-		t.Fatalf("snapshot has %d points, want ≤ 65", len(snap))
-	}
-	stride := r.Stride(0)
-	if stride&(stride-1) != 0 || stride < 2 {
-		t.Fatalf("stride = %d, want power of two ≥ 2", stride)
-	}
-	// Every retained point except the trailing one sits on the stride grid.
-	if snap[0] != pts[0] {
-		t.Fatal("first sample not retained")
-	}
-	for i, p := range snap[:len(snap)-1] {
-		if want := pts[i*stride]; p != want {
-			t.Fatalf("point %d: got t=%v, want t=%v (stride %d)", i, p.Time, want.Time, stride)
+	// Capacities below, at and above one storage block, one that is not a
+	// multiple of it, and a series length whose last compaction (at
+	// 2·reservoirBlock+1 retained points) empties a one-point last block.
+	for _, tc := range []struct{ n, capacity int }{
+		{10000, 64},
+		{10000, reservoirBlock},
+		{10000, reservoirBlock + 1},
+		{10000, 3*reservoirBlock - 7},
+		{2*reservoirBlock + 1, 2 * reservoirBlock},
+		{4*reservoirBlock + 3, 2 * reservoirBlock},
+	} {
+		pts := points(tc.n)
+		r := NewReservoir(tc.capacity)
+		feed(r, 0, pts)
+		snap := r.Snapshot(0)
+		if len(snap) > tc.capacity+1 { // capacity + trailing last sample
+			t.Fatalf("n=%d cap=%d: snapshot has %d points, want ≤ %d", tc.n, tc.capacity, len(snap), tc.capacity+1)
 		}
-	}
-	if last := snap[len(snap)-1]; last != pts[len(pts)-1] {
-		t.Fatalf("last sample is t=%v, want most recent t=%v", last.Time, pts[len(pts)-1].Time)
-	}
-	// Determinism: same input, same view.
-	r2 := NewReservoir(64)
-	feed(r2, 0, pts)
-	snap2 := r2.Snapshot(0)
-	if len(snap2) != len(snap) {
-		t.Fatal("reservoir not deterministic")
-	}
-	for i := range snap {
-		if snap[i] != snap2[i] {
+		stride := r.Stride(0)
+		if stride&(stride-1) != 0 || stride < 2 {
+			t.Fatalf("n=%d cap=%d: stride = %d, want power of two ≥ 2", tc.n, tc.capacity, stride)
+		}
+		// Every retained point sits on the stride grid, and the grid is
+		// complete: the view is every stride-th sample plus the most
+		// recent one when the grid skips it.
+		want := onGrid(pts, stride)
+		if len(snap) != len(want) || r.Len(0) != len(want) {
+			t.Fatalf("n=%d cap=%d: snapshot has %d points, Len %d, want %d (stride %d)",
+				tc.n, tc.capacity, len(snap), r.Len(0), len(want), stride)
+		}
+		for i := range want {
+			if snap[i] != want[i] {
+				t.Fatalf("n=%d cap=%d: point %d: got t=%v, want t=%v (stride %d)",
+					tc.n, tc.capacity, i, snap[i].Time, want[i].Time, stride)
+			}
+		}
+		// Determinism: same input, same view.
+		r2 := NewReservoir(tc.capacity)
+		feed(r2, 0, pts)
+		snap2 := r2.Snapshot(0)
+		if len(snap2) != len(snap) {
 			t.Fatal("reservoir not deterministic")
 		}
+		for i := range snap {
+			if snap[i] != snap2[i] {
+				t.Fatal("reservoir not deterministic")
+			}
+		}
 	}
+}
+
+// onGrid is the view a reservoir at the given stride keeps of pts:
+// every stride-th sample, then the last one if the grid skipped it.
+func onGrid(pts []sim.TracePoint, stride int) []sim.TracePoint {
+	var out []sim.TracePoint
+	for i := 0; i < len(pts); i += stride {
+		out = append(out, pts[i])
+	}
+	if (len(pts)-1)%stride != 0 {
+		out = append(out, pts[len(pts)-1])
+	}
+	return out
 }
 
 func TestReservoirSummaryExactDespiteDecimation(t *testing.T) {
@@ -151,34 +206,96 @@ func TestReservoirSummaryExactDespiteDecimation(t *testing.T) {
 
 func TestReservoirConcurrentReaders(t *testing.T) {
 	pts := points(4000)
-	r := NewReservoir(64)
+	var cur atomic.Pointer[Reservoir]
+	cur.Store(NewReservoir(64))
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for i := 0; i < 4; i++ {
+	bad := make(chan string, 8)
+	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for k := 0; ; k++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
+				r := cur.Load()
 				r.Snapshot(0)
 				r.Summary()
 				for range r.Points(0) {
 				}
-				r.Len(0)
 				r.Stride(0)
+				// A short page at the tail and the whole view: both end
+				// on the most recent sample.
+				msg := checkPage(r.Page(0, r.Len(0)-1-k%3, 3), 3, pts)
+				if msg == "" {
+					msg = checkPage(r.Page(0, 0, 0), 0, pts)
+				}
+				if msg != "" {
+					select {
+					case bad <- msg:
+					default:
+					}
+					return
+				}
 			}
 		}()
 	}
-	feed(r, 0, pts)
+	feed(cur.Load(), 0, pts)
+	if got := cur.Load().Seen(0); got != int64(len(pts)) {
+		t.Errorf("seen = %d, want %d", got, len(pts))
+	}
+	// A fresh two-point reservoir compacts on 2 of its first 5 samples,
+	// each time halving a three-point view: a page whose seen or stride
+	// is read apart from its points shows as a broken invariant or a
+	// wrong point.
+	for round := 0; round < 16000; round++ {
+		r := NewReservoir(2)
+		cur.Store(r)
+		feed(r, 0, pts[:5])
+	}
 	close(stop)
 	wg.Wait()
-	if r.Seen(0) != int64(len(pts)) {
-		t.Fatalf("seen = %d, want %d", r.Seen(0), len(pts))
+	close(bad)
+	for msg := range bad {
+		t.Error(msg)
 	}
+}
+
+// checkPage checks one Page(0, offset, limit) read of a reservoir fed a
+// prefix of pts on socket 0: its total follows from seen and stride, and
+// its points are the view's points at its offset.
+func checkPage(pg Page, limit int, pts []sim.TracePoint) string {
+	if pg.Seen == 0 {
+		if pg.Total != 0 || len(pg.Points) != 0 {
+			return fmt.Sprintf("empty reservoir: page %+v", pg)
+		}
+		return ""
+	}
+	seen, stride := int(pg.Seen), pg.Stride
+	want := (seen + stride - 1) / stride
+	if (seen-1)%stride != 0 {
+		want++
+	}
+	if pg.Total != want {
+		return fmt.Sprintf("seen=%d stride=%d: total %d, want %d", seen, stride, pg.Total, want)
+	}
+	view := onGrid(pts[:seen], stride)
+	want = len(view) - pg.Offset
+	if limit > 0 {
+		want = min(want, limit)
+	}
+	if len(pg.Points) != want {
+		return fmt.Sprintf("seen=%d stride=%d offset=%d: %d points", seen, stride, pg.Offset, len(pg.Points))
+	}
+	for i, p := range pg.Points {
+		if p != view[pg.Offset+i] {
+			return fmt.Sprintf("seen=%d stride=%d: point %d differs", seen, stride, pg.Offset+i)
+		}
+	}
+	return ""
 }
 
 func TestCSVSinkMatchesWriteCSV(t *testing.T) {
