@@ -52,17 +52,22 @@ vet:
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
-# fuzz runs each native fuzz target for 15 s. Two are differential: the
-# simulator's copy of math/rand's jitter generator against math/rand
-# itself, and the RAPL limiter's kernel-built Step against its reference
-# oracle. The third feeds arbitrary bytes to the disk cache's DUFPSEG3
-# segment reader, the fourth arbitrary query strings to dufpd's
+# fuzz runs each native fuzz target for 15 s. Three are differential:
+# the simulator's copy of math/rand's jitter generator against math/rand
+# itself, the RAPL limiter's kernel-built Step against its reference
+# oracle, and dufpd's samples-page codec against encoding/json. The
+# fourth feeds arbitrary bytes to the disk cache's DUFPSEG3 segment
+# reader, the fifth arbitrary query strings to dufpd's
 # /v1/runs/{id}/samples. Their seed inputs also run under `make test`.
+# The codec's inputs are whole pages, hundreds of bytes, and minimizing
+# each new one for the default 60 s would use up its 15 s, so its
+# minimization stops after 1 s.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzJitterRNG$$' -fuzztime 15s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzLimiterKernel$$' -fuzztime 15s ./internal/rapl/
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime 15s ./internal/exec/diskcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzSamplesQuery$$' -fuzztime 15s ./internal/api/
+	$(GO) test -run '^$$' -fuzz '^FuzzSamplesCodec$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/api/
 
 # cover enforces a floor on the telemetry layer's test coverage: the
 # registry and timeline are pure data plumbing, so near-total coverage is

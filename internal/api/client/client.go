@@ -56,45 +56,75 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
+// maxBody caps how much of a response body the client reads.
+const maxBody = 64 << 20
+
 // do performs one JSON request/response exchange.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+	payload, err := c.exchange(ctx, method, path, body)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(payload, out)
+}
+
+// exchange sends one request, with body as JSON when it is not nil, and
+// returns the body of a 2xx response.
+func (c *Client) exchange(ctx context.Context, method, path string, body any) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rd = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	payload, err := readBody(resp)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode/100 != 2 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(payload, &e) == nil && e.Error != "" {
-			return &APIError{StatusCode: resp.StatusCode, Message: e.Error}
-		}
-		return &APIError{StatusCode: resp.StatusCode, Message: strings.TrimSpace(string(payload))}
+		return nil, responseError(resp.StatusCode, payload)
 	}
-	if out == nil {
-		return nil
+	return payload, nil
+}
+
+// readBody reads a response body of at most maxBody bytes: into one
+// buffer of its declared Content-Length when there is one, else by
+// io.ReadAll. A body shorter than its Content-Length is an error.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n <= 0 || n > maxBody {
+		return io.ReadAll(io.LimitReader(resp.Body, maxBody))
 	}
-	return json.Unmarshal(payload, out)
+	b := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, b); err != nil {
+		return nil, fmt.Errorf("reading %d-byte response body: %w", n, err)
+	}
+	return b, nil
+}
+
+// responseError is the error for a non-2xx response with body payload.
+func responseError(code int, payload []byte) error {
+	var e struct {
+		Error string `json:"error"`
+	}
+	if json.Unmarshal(payload, &e) == nil && e.Error != "" {
+		return &APIError{StatusCode: code, Message: e.Error}
+	}
+	return &APIError{StatusCode: code, Message: strings.TrimSpace(string(payload))}
 }
 
 // Healthz fetches the daemon's health snapshot.
@@ -134,13 +164,15 @@ func (c *Client) RunWithTrace(ctx context.Context, id string) (api.RunStatus, er
 // selects the series, offset/limit cut the page (limit <= 0 fetches the
 // remainder); page.Next is the next page's offset, -1 on the last.
 func (c *Client) Samples(ctx context.Context, id string, socket, offset, limit int) (api.RunSamples, error) {
-	var s api.RunSamples
 	path := fmt.Sprintf("/v1/runs/%s/samples?socket=%d&offset=%d", id, socket, offset)
 	if limit > 0 {
 		path += fmt.Sprintf("&limit=%d", limit)
 	}
-	err := c.do(ctx, http.MethodGet, path, nil, &s)
-	return s, err
+	payload, err := c.exchange(ctx, http.MethodGet, path, nil)
+	if err != nil {
+		return api.RunSamples{}, err
+	}
+	return api.DecodeSamplesPage(payload)
 }
 
 // StreamSamples consumes a run's retained samples as NDJSON, invoking
@@ -159,22 +191,17 @@ func (c *Client) StreamSamples(ctx context.Context, id string, socket int, fn fu
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		payload, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(payload, &e) == nil && e.Error != "" {
-			return &APIError{StatusCode: resp.StatusCode, Message: e.Error}
-		}
-		return &APIError{StatusCode: resp.StatusCode, Message: strings.TrimSpace(string(payload))}
+		return responseError(resp.StatusCode, payload)
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for sc.Scan() {
-		if len(strings.TrimSpace(sc.Text())) == 0 {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		var p api.SamplePoint
-		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
+		p, err := api.DecodeSamplePoint(line)
+		if err != nil {
 			return err
 		}
 		if err := fn(p); err != nil {

@@ -2,6 +2,8 @@ package api_test
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"testing"
@@ -298,6 +300,20 @@ func TestClientSamplesOverHTTP(t *testing.T) {
 	}
 	if len(paged) == 0 {
 		t.Fatal("no samples retained")
+	}
+
+	// A page goes out whole, with its length declared, not chunked.
+	resp, err := http.Get(fmt.Sprintf("%s/v1/runs/%s/samples?socket=0&offset=0&limit=16", td.URL, st.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("page of %d bytes: Content-Length %d, Transfer-Encoding %v", len(body), resp.ContentLength, resp.TransferEncoding)
 	}
 
 	// The NDJSON stream yields the identical sequence without paging.

@@ -223,6 +223,78 @@ func TestSampleStoreEviction(t *testing.T) {
 	}
 }
 
+// TestSamplesEncodeFailure serves a retained series [80 W, bad, 81 W]
+// whose middle point JSON cannot encode, and requires a 500 rather than
+// a 200 with an empty or gapped body: a page that holds the point fails,
+// and so does an NDJSON stream whose first page holds it, while a later
+// page's failure ends the stream just before the point.
+func TestSamplesEncodeFailure(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(strconv.FormatFloat(bad, 'g', -1, 64), func(t *testing.T) {
+			d, err := New(testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			const id = "badrun"
+			r := d.samples.start(id)
+			for i, w := range []float64{80, bad, 81} {
+				r.Consume(0, sim.TracePoint{Time: time.Duration(i) * 10 * time.Millisecond, PkgPower: units.Power(w)})
+			}
+			h := d.Handler()
+			for _, tc := range []struct {
+				query string
+				code  int
+				lines int // NDJSON lines served with a 200
+			}{
+				{"", http.StatusInternalServerError, 0},
+				{"offset=1&limit=1", http.StatusInternalServerError, 0},
+				{"limit=1", http.StatusOK, 0},
+				{"format=ndjson", http.StatusInternalServerError, 0},
+				{"format=ndjson&offset=1", http.StatusInternalServerError, 0},
+				{"format=ndjson&limit=1", http.StatusOK, 1},
+				{"format=ndjson&offset=2", http.StatusOK, 1},
+			} {
+				req := httptest.NewRequest(http.MethodGet, "/v1/runs/"+id+"/samples?"+tc.query, nil)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != tc.code {
+					t.Fatalf("?%s: HTTP %d, want %d; body %q", tc.query, rec.Code, tc.code, rec.Body)
+				}
+				if tc.code != http.StatusOK {
+					var e errorBody
+					if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+						t.Fatalf("?%s: error body %q: %v", tc.query, rec.Body, err)
+					}
+					continue
+				}
+				if tc.lines == 0 {
+					var page RunSamples
+					if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil || len(page.Points) != 1 {
+						t.Fatalf("?%s: page %q: %v", tc.query, rec.Body, err)
+					}
+					continue
+				}
+				want := r.Snapshot(0)
+				offset, _ := strconv.Atoi(req.URL.Query().Get("offset"))
+				var got []SamplePoint
+				for dec := json.NewDecoder(rec.Body); ; {
+					var p SamplePoint
+					if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+						break
+					} else if err != nil {
+						t.Fatalf("?%s: NDJSON line %d: %v", tc.query, len(got), err)
+					}
+					got = append(got, p)
+				}
+				if msg := samePoints(got, want[offset:offset+tc.lines]); msg != "" {
+					t.Fatalf("?%s: NDJSON %s", tc.query, msg)
+				}
+			}
+		})
+	}
+}
+
 // FuzzSamplesQuery sends arbitrary query strings to GET
 // /v1/runs/{id}/samples over one retained reservoir holding a fixed
 // synthetic series on two sockets, decimated past stride 1, and checks

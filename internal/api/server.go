@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -95,11 +96,26 @@ func (d *Daemon) instrument(label string, h http.HandlerFunc) http.Handler {
 	})
 }
 
-// writeJSON writes a compact JSON response body.
+// writeJSON writes v as a compact JSON response body, the bytes
+// json.Encoder writes: json.Marshal's and a newline. A value that does
+// not marshal, such as a NaN, answers 500 instead of its code.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	b, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		b, _ = json.Marshal(errorBody{Error: fmt.Sprintf("encoding response: %v", err)})
+	}
+	writeBody(w, code, append(b, '\n'))
+}
+
+// writeBody sends a whole JSON body with its Content-Length, so that a
+// client can read it into one buffer of that size.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(body)
 }
 
 // writeError maps a submission error to its status code.
@@ -191,23 +207,51 @@ func (d *Daemon) handleRunSamples(w http.ResponseWriter, r *http.Request) {
 	}
 	tagExemplar(w, id)
 	if q.Get("format") == "ndjson" {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		enc := json.NewEncoder(w)
-		for {
-			for _, p := range page.Points {
-				enc.Encode(p)
+		d.streamSamples(w, page, socket, limit)
+		return
+	}
+	body, err := appendSamplesPage(make([]byte, 0, samplesPageCap(&page)), &page)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: fmt.Sprintf("encoding samples: %v", err)})
+		return
+	}
+	writeBody(w, http.StatusOK, body)
+}
+
+// streamSamples writes the NDJSON stream that starts with page, one
+// page per Write. A point that does not encode, such as a NaN, answers
+// 500 if it is on the first page; on a later page the stream ends just
+// before it, so the lines sent are always a prefix of the series.
+func (d *Daemon) streamSamples(w http.ResponseWriter, page RunSamples, socket, limit int) {
+	var buf []byte
+	for first := true; ; first = false {
+		buf = slices.Grow(buf[:0], len(page.Points)*pointBytesEstimate)
+		var err error
+		for i := range page.Points {
+			n := len(buf)
+			if buf, err = appendSamplePoint(buf, &page.Points[i]); err != nil {
+				buf = buf[:n]
+				break
 			}
-			if page.Next < 0 {
+			buf = append(buf, '\n')
+		}
+		if first {
+			if err != nil {
+				writeJSON(w, http.StatusInternalServerError, errorBody{Error: fmt.Sprintf("encoding samples: %v", err)})
 				return
 			}
-			page, ok = d.RunSamples(id, socket, page.Next, limit)
-			if !ok {
-				return
-			}
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.WriteHeader(http.StatusOK)
+		}
+		w.Write(buf)
+		if err != nil || page.Next < 0 {
+			return
+		}
+		var ok bool
+		if page, ok = d.RunSamples(page.ID, socket, page.Next, limit); !ok {
+			return
 		}
 	}
-	writeJSON(w, http.StatusOK, page)
 }
 
 // intParam parses an optional decimal query parameter.
