@@ -199,11 +199,15 @@ func run(ctx context.Context, p params) error {
 		fmt.Printf("trace written to %s (%d points)\n", p.traceCSV, sink.Count())
 	}
 
+	if p.timeline == "" && p.spans == "" {
+		return nil
+	}
+	// One recorded run serves both the timeline and the span trace.
+	res, err := session.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithRecord())
+	if err != nil {
+		return err
+	}
 	if p.timeline != "" {
-		res, err := session.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithTimeline())
-		if err != nil {
-			return err
-		}
 		f, err := os.Create(p.timeline)
 		if err != nil {
 			return err
@@ -217,10 +221,6 @@ func run(ctx context.Context, p params) error {
 	}
 
 	if p.spans != "" {
-		res, err := session.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithSpans())
-		if err != nil {
-			return err
-		}
 		f, err := os.Create(p.spans)
 		if err != nil {
 			return err

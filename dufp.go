@@ -19,8 +19,8 @@
 // Runs are scheduled on a shared, memoising executor: identical
 // (app, governor, session, run index) requests — e.g. the baseline above
 // and the same baseline needed by an experiment table — compute once.
-// Session.Run takes options (WithTrace, WithEvents, WithTimeline,
-// WithFaultStats, WithFaults) for sideband artifacts.
+// Session.Run takes two options for sideband output: WithRecord returns
+// the run's whole record, WithTraceSink streams its samples.
 // WithFaultPlan injects deterministic sensor/actuator faults
 // and ControlConfig.Guard hardens the controllers against them (see
 // DESIGN.md §10).

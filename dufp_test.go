@@ -106,12 +106,12 @@ func TestRunTraced(t *testing.T) {
 	s := dufp.NewSession()
 	app, _ := dufp.AppByName("EP")
 	res, err := s.Run(context.Background(),
-		dufp.RunSpec{App: app, Governor: dufp.DUFP(dufp.DefaultControlConfig(0.10))}, dufp.WithTrace())
+		dufp.RunSpec{App: app, Governor: dufp.DUFP(dufp.DefaultControlConfig(0.10))}, dufp.WithRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := res.Trace
-	if rec.Len() == 0 {
+	if rec.Len(0) == 0 {
 		t.Fatal("no trace points")
 	}
 	pts := slices.Collect(rec.Points(0))

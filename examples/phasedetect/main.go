@@ -48,7 +48,7 @@ func main() {
 	ctx := context.Background()
 	session := dufp.NewSession(dufp.WithSeed(42))
 	cfg := dufp.DefaultControlConfig(0.10)
-	traced, err := session.Run(ctx, dufp.RunSpec{App: app, Governor: dufp.DUFP(cfg)}, dufp.WithTrace(), dufp.WithEvents())
+	traced, err := session.Run(ctx, dufp.RunSpec{App: app, Governor: dufp.DUFP(cfg)}, dufp.WithRecord())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,14 +7,11 @@ import (
 	"io"
 	"sync"
 
-	"dufp/internal/control"
 	"dufp/internal/exec"
 	"dufp/internal/exec/diskcache"
-	"dufp/internal/fault"
 	"dufp/internal/metrics"
 	"dufp/internal/obs"
 	"dufp/internal/sim"
-	"dufp/internal/trace"
 )
 
 // The run executor is the single execution path of the harness: every
@@ -111,33 +108,20 @@ func SharedExecutor() *Executor {
 	return sharedExec
 }
 
-// runPayload carries the materialised inputs of one executor key. The
-// sideband fields are written only by fresh submissions (each of which
-// owns its payload), never by the memoised path, so payload sharing
-// across a batch fan-out is race-free: runKey's payload carries no
-// sideband, and a batch shares it across all run indices of one
-// configuration.
+// runPayload carries the materialised inputs of one executor key. Only
+// Session.Run sets rec, on a fresh submission that owns its payload,
+// never on the memoised path, so payload sharing across a batch fan-out
+// is race-free: runKey's payload carries no record, and a batch shares
+// it across all run indices of one configuration.
 type runPayload struct {
 	session Session
 	app     App
 	// mk is the governor's constructor; nil is the baseline.
 	mk GovernorFunc
-	// traced attaches a trace recorder to the run.
-	traced bool
-	// keep retains the recorder, summary, controller instances and fault
-	// counters on the payload after the run; only SubmitFresh callers set
-	// it.
-	keep bool
-	// sink, when non-nil, streams every trace sample to the caller's
-	// consumer as the run produces it (see WithTraceSink). Payload-only:
-	// it never joins the key's content address, because attaching an
-	// observer does not change the measured run.
-	sink trace.Sink
-
-	rec     *trace.Recorder
-	summary *trace.Summary
-	insts   []control.Instance
-	faults  fault.Stats
+	// rec, when non-nil, is the record the run fills (see runRecord).
+	// Payload-only: it never joins the key's content address, because
+	// observing a run does not change it.
+	rec *runRecord
 }
 
 // executeKey is the Runner behind every executor built by this package.
@@ -146,14 +130,7 @@ func executeKey(ctx context.Context, key exec.Key) (metrics.Run, error) {
 	if !ok {
 		return metrics.Run{}, fmt.Errorf("%w: executor key %v carries no run payload", ErrBadConfig, key)
 	}
-	run, art, err := p.session.execute(ctx, p.app, p.mk, key.Idx, p.traced, p.sink)
-	if err != nil {
-		return metrics.Run{}, err
-	}
-	if p.keep {
-		p.rec, p.summary, p.insts, p.faults = art.rec, art.summary, art.insts, art.faults
-	}
-	return run, nil
+	return p.session.execute(ctx, p.app, p.mk, key.Idx, p.rec)
 }
 
 // hash64 returns the FNV-1a fingerprint of s as fixed-width hex.

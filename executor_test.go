@@ -186,18 +186,18 @@ func TestTracedRunsBypassCache(t *testing.T) {
 	gov := dufp.DUFP(dufp.DefaultControlConfig(0.10))
 	ctx := context.Background()
 
-	res1, err := session.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithTrace())
+	res1, err := session.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := session.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithTrace())
+	res2, err := session.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res1.Trace == nil || res2.Trace == nil || res1.Trace == res2.Trace {
-		t.Fatal("traced runs must produce fresh recorders")
+		t.Fatal("recorded runs must produce fresh traces")
 	}
-	if res1.Trace.Len() == 0 {
+	if res1.Trace.Len(0) == 0 {
 		t.Fatal("empty trace")
 	}
 	if res1.Run != res2.Run {

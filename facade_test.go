@@ -69,7 +69,7 @@ func TestRunWithEventsFacade(t *testing.T) {
 	s := dufp.NewSession()
 	app, _ := dufp.AppByName("FT")
 	ctx := context.Background()
-	res, err := s.Run(ctx, dufp.RunSpec{App: app, Governor: dufp.DUFP(dufp.DefaultControlConfig(0.10))}, dufp.WithEvents())
+	res, err := s.Run(ctx, dufp.RunSpec{App: app, Governor: dufp.DUFP(dufp.DefaultControlConfig(0.10))}, dufp.WithRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRunWithEventsFacade(t *testing.T) {
 	}
 
 	// Baseline governor records no events.
-	res, err = s.Run(ctx, dufp.RunSpec{App: app, Governor: dufp.Baseline()}, dufp.WithEvents())
+	res, err = s.Run(ctx, dufp.RunSpec{App: app, Governor: dufp.Baseline()}, dufp.WithRecord())
 	if err != nil {
 		t.Fatal(err)
 	}

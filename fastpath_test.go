@@ -113,19 +113,19 @@ func TestExactPhysicsBitIdentical(t *testing.T) {
 						return s
 					}
 					spec := dufp.RunSpec{App: ph.app, Governor: g.gov}
-					free, err := build(false).Run(ctx, spec, dufp.WithTrace())
+					free, err := build(false).Run(ctx, spec, dufp.WithRecord())
 					if err != nil {
 						t.Fatal(err)
 					}
-					exact, err := build(true).Run(ctx, spec, dufp.WithTrace())
+					exact, err := build(true).Run(ctx, spec, dufp.WithRecord())
 					if err != nil {
 						t.Fatal(err)
 					}
 					if f := runBitDiff(free.Run, exact.Run); f != "" {
 						t.Fatalf("runs diverge in %s:\nfree:  %+v\nexact: %+v", f, free.Run, exact.Run)
 					}
-					if free.Trace.Len() != exact.Trace.Len() {
-						t.Fatalf("trace lengths diverge: %d vs %d", free.Trace.Len(), exact.Trace.Len())
+					if free.Trace.Len(0) != exact.Trace.Len(0) {
+						t.Fatalf("trace lengths diverge: %d vs %d", free.Trace.Len(0), exact.Trace.Len(0))
 					}
 					if free.Trace.Sockets() != exact.Trace.Sockets() {
 						t.Fatalf("socket counts diverge: %d vs %d", free.Trace.Sockets(), exact.Trace.Sockets())
@@ -182,11 +182,11 @@ func TestSessionRoundSkipping(t *testing.T) {
 				return s
 			}
 			spec := dufp.RunSpec{App: app, Governor: g.gov}
-			free, err := build(false).Run(ctx, spec, dufp.WithSpans())
+			free, err := build(false).Run(ctx, spec, dufp.WithRecord())
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact, err := build(true).Run(ctx, spec, dufp.WithSpans())
+			exact, err := build(true).Run(ctx, spec, dufp.WithRecord())
 			if err != nil {
 				t.Fatal(err)
 			}

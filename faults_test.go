@@ -35,19 +35,19 @@ func TestZeroFaultPlanBitIdentical(t *testing.T) {
 		dufp.WithFaultPlan(dufp.FaultPlan{Seed: 5}),
 	)
 
-	a, err := clean.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithTrace(), dufp.WithEvents())
+	a, err := clean.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := planned.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithTrace(), dufp.WithEvents())
+	b, err := planned.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Run != b.Run {
 		t.Fatalf("zero-rate fault plan changed the run:\n%+v\n%+v", a.Run, b.Run)
 	}
-	if a.Trace.Len() != b.Trace.Len() {
-		t.Fatalf("trace lengths diverged: %d vs %d", a.Trace.Len(), b.Trace.Len())
+	if a.Trace.Len(0) != b.Trace.Len(0) {
+		t.Fatalf("trace lengths diverged: %d vs %d", a.Trace.Len(0), b.Trace.Len(0))
 	}
 	if len(a.Events) != len(b.Events) {
 		t.Fatalf("event logs diverged: %d vs %d", len(a.Events), len(b.Events))
@@ -67,7 +67,7 @@ func TestFaultDeterminism(t *testing.T) {
 		p := plan
 		p.Seed = planSeed
 		s := dufp.NewSession(dufp.WithExecutor(dufp.NewExecutor()), dufp.WithFaultPlan(p))
-		res, err := s.Run(ctx, dufp.RunSpec{App: app, Governor: guardedDUFP(0.10)}, dufp.WithFaultStats())
+		res, err := s.Run(ctx, dufp.RunSpec{App: app, Governor: guardedDUFP(0.10)}, dufp.WithRecord())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,18 +105,18 @@ func TestFaultPlanIsRunIdentity(t *testing.T) {
 	if _, err := s.Run(ctx, dufp.RunSpec{App: app, Governor: gov}); err != nil {
 		t.Fatal(err)
 	}
-	// Same plan via the per-run option: cache hit.
+	// Same plan set on a plain session's copy: cache hit.
 	s2 := dufp.NewSession(dufp.WithExecutor(e))
-	if _, err := s2.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithFaults(plan)); err != nil {
+	s2.Faults = plan
+	if _, err := s2.Run(ctx, dufp.RunSpec{App: app, Governor: gov}); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Started != 1 || st.CacheHits != 1 {
 		t.Fatalf("stats = %+v, want equal plans to memoise together", st)
 	}
 	// A different plan is a different computation.
-	other := plan
-	other.Seed = 9
-	if _, err := s.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithFaults(other)); err != nil {
+	s.Faults.Seed = 9
+	if _, err := s.Run(ctx, dufp.RunSpec{App: app, Governor: gov}); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Started != 2 {
@@ -141,7 +141,7 @@ func TestDegradedMode(t *testing.T) {
 	)
 	res, err := session.Run(context.Background(),
 		dufp.RunSpec{App: app, Governor: guardedDUFP(0.10)},
-		dufp.WithFaultStats(), dufp.WithEvents())
+		dufp.WithRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestTransientRetry(t *testing.T) {
 	)
 	res, err := session.Run(context.Background(),
 		dufp.RunSpec{App: app, Governor: guardedDUFP(0.10)},
-		dufp.WithFaultStats())
+		dufp.WithRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +220,10 @@ func TestUnguardedTransientSurfaces(t *testing.T) {
 // boundary.
 func TestInvalidFaultPlanRejected(t *testing.T) {
 	app := fastApp(t)
-	session := dufp.NewSession(dufp.WithExecutor(dufp.NewExecutor()))
+	session := dufp.NewSession(dufp.WithExecutor(dufp.NewExecutor()),
+		dufp.WithFaultPlan(dufp.FaultPlan{ReadFailP: 2}))
 	_, err := session.Run(context.Background(),
-		dufp.RunSpec{App: app, Governor: dufp.Baseline()},
-		dufp.WithFaults(dufp.FaultPlan{ReadFailP: 2}))
+		dufp.RunSpec{App: app, Governor: dufp.Baseline()})
 	if !errors.Is(err, dufp.ErrBadConfig) {
 		t.Fatalf("err = %v, want ErrBadConfig", err)
 	}

@@ -294,21 +294,13 @@ func (d *Daemon) runResultWithTrace(id string) (*dufp.RunResult, bool) {
 	if !ok {
 		return nil, false
 	}
-	res := &dufp.RunResult{}
+	sum := r.Summary()
+	res := &dufp.RunResult{Trace: r, TraceSummary: &sum}
 	d.mu.Lock()
 	if j, tracked := d.jobs[id]; tracked && j.state == StateDone {
 		res.Run = j.run
 	}
 	d.mu.Unlock()
-	rec := trace.NewRecorder(r.Sockets())
-	for s := 0; s < r.Sockets(); s++ {
-		for _, p := range r.Snapshot(s) {
-			rec.Consume(s, p)
-		}
-	}
-	res.Trace = rec
-	sum := r.Summary()
-	res.TraceSummary = &sum
 	return res, true
 }
 

@@ -341,7 +341,7 @@ func TestClientSamplesOverHTTP(t *testing.T) {
 	if rich.Result == nil || rich.Result.Trace == nil {
 		t.Fatalf("include=trace result = %+v", rich.Result)
 	}
-	if got := rich.Result.Trace.Len(); got != len(paged) {
+	if got := rich.Result.Trace.Len(0); got != len(paged) {
 		t.Fatalf("embedded trace has %d points, samples endpoint %d", got, len(paged))
 	}
 	if rich.Result.TraceSummary == nil || rich.Result.TraceSummary.Sockets() == 0 {

@@ -161,7 +161,7 @@ func TestRunStatusIncludeTrace(t *testing.T) {
 	if rich.Result.Run != *status.Run {
 		t.Errorf("embedded run differs: %+v vs %+v", rich.Result.Run, *status.Run)
 	}
-	if rich.Result.Trace == nil || rich.Result.Trace.Len() == 0 {
+	if rich.Result.Trace == nil || rich.Result.Trace.Len(0) == 0 {
 		t.Fatal("embedded result has no trace series")
 	}
 	sum := rich.Result.TraceSummary
@@ -176,6 +176,22 @@ func TestRunStatusIncludeTrace(t *testing.T) {
 	}
 	if want := rich.Result.Run.AvgPkgPower.Watts(); math.Abs(got-want) > 1 {
 		t.Errorf("summary node avg %f W vs run avg %f W", got, want)
+	}
+
+	// The raw body, byte for byte: the status, the measurement, the
+	// retained series of every socket and their summary.
+	resp, err := http.Get(ts.URL + "/v1/runs/" + status.ID + "?include=trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goldenBody = "9d05ea364c72f6bde5327069b6011928286c3b2f542b0533751c26dfaa76b124"
+	if sum := fmt.Sprintf("%x", sha256.Sum256(body)); sum != goldenBody {
+		t.Errorf("include=trace body: sha256 %s, want %s (%d bytes)", sum, goldenBody, len(body))
 	}
 }
 

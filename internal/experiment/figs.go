@@ -277,11 +277,8 @@ func gridTable(g *Grid, id, title string, cell func(dufp.Comparison) string, not
 	return t, nil
 }
 
-// Fig5Trace is one governor's streamed artifacts behind Fig 5: the
-// downsampling reservoir the run's trace flowed into and the
-// controller's decision log for timeline rendering. Points is lossless
-// while a run emits fewer samples than the reservoir's capacity (the
-// paper protocol does); longer runs decimate deterministically.
+// Fig5Trace is one governor's record behind Fig 5: the run's lossless
+// trace and the controller's decision log for timeline rendering.
 type Fig5Trace struct {
 	Points *trace.Reservoir
 	Events []dufp.ControlEvent
@@ -299,34 +296,29 @@ type Fig5Result struct {
 }
 
 // Fig5 reproduces the CPU-frequency comparison: CG at 10 % tolerated
-// slowdown under DUF and DUFP, tracing socket 0 (the paper's core 0).
-// The traces stream into per-governor reservoirs instead of riding the
-// RunResult, so the figure's memory footprint is bounded regardless of
-// run duration.
+// slowdown under DUF and DUFP, tracing socket 0 (the paper's core 0)
+// from each run's record.
 func Fig5(opts Options) (Fig5Result, error) {
 	app, _ := dufp.AppByName("CG")
 	cfg := dufp.DefaultControlConfig(0.10)
 	ctx, session := opts.campaign()
 
-	dufRsv := trace.NewReservoir(0)
-	dufRes, err := session.Run(ctx, dufp.RunSpec{App: app, Governor: dufp.DUF(cfg)}, dufp.WithTraceSink(dufRsv), dufp.WithEvents())
+	dufRes, err := session.Run(ctx, dufp.RunSpec{App: app, Governor: dufp.DUF(cfg)}, dufp.WithRecord())
 	if err != nil {
 		return Fig5Result{}, err
 	}
-	dufpRsv := trace.NewReservoir(0)
-	dufpRes, err := session.Run(ctx, dufp.RunSpec{App: app, Governor: dufp.DUFP(cfg)}, dufp.WithTraceSink(dufpRsv), dufp.WithEvents())
+	dufpRes, err := session.Run(ctx, dufp.RunSpec{App: app, Governor: dufp.DUFP(cfg)}, dufp.WithRecord())
 	if err != nil {
 		return Fig5Result{}, err
 	}
 
 	res := Fig5Result{
-		DUF:  Fig5Trace{Points: dufRsv, Events: dufRes.Events},
-		DUFP: Fig5Trace{Points: dufpRsv, Events: dufpRes.Events},
+		DUF:  Fig5Trace{Points: dufRes.Trace, Events: dufRes.Events},
+		DUFP: Fig5Trace{Points: dufpRes.Trace, Events: dufpRes.Events},
 	}
 	dufS, dufpS := res.DUF.Series(), res.DUFP.Series()
 
-	// The exact averages come from the runs' streamed summaries, not the
-	// (possibly decimated) reservoirs.
+	// The exact averages come from the runs' streamed summaries.
 	t := Table{
 		ID:      "Fig 5",
 		Title:   "CPU frequency under DUF vs DUFP, CG @ 10 % tolerated slowdown (socket 0)",

@@ -124,7 +124,7 @@ func RunRobustness(opts Options, levels []FaultLevel) (*RobustnessGrid, error) {
 				sum.Slowdown = tol
 				cmp := dufp.CompareRuns(sum, base)
 
-				probe, err := faulted.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithFaultStats())
+				probe, err := faulted.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithRecord())
 				if err != nil {
 					return nil, fmt.Errorf("experiment: %s/%s tol=%.0f%% stats run: %w",
 						app.Name, lv.Name, tol*100, err)

@@ -11,13 +11,11 @@ import (
 	"dufp/internal/units"
 )
 
-// Sink consumes trace samples as the simulator produces them. It is the
-// streaming half of the results pipeline: instead of accumulating every
-// sample in a Recorder slice that rides inside the run result, a sink
+// Sink consumes trace samples as the simulator produces them: a sink
 // sees each (socket, point) pair exactly once, in emission order, and
-// keeps only what it needs — a bounded reservoir, a running average, a
-// CSV row. Sinks are pure observers: attaching one never changes the
-// measured run.
+// keeps only what it needs — a reservoir, a running average, a CSV row.
+// Sinks are pure observers: attaching one never changes the measured
+// run.
 //
 // Consume is called from the simulation's single decision loop, so
 // implementations need no internal locking unless they are also read
@@ -69,7 +67,7 @@ func Hook(s Sink) func(socket int, p sim.TracePoint) {
 // power. It is what crosses the wire (v1.1 trace_summary) in place of
 // the full series, and what RunResult carries for every traced run. The
 // averages accumulate in emission order, so a Summary computed by a
-// streaming sink is bit-identical to one computed from a full recording.
+// streaming sink is bit-identical to one computed from the full series.
 type Summary struct {
 	// Points counts the samples seen per socket.
 	Points []int
@@ -216,6 +214,9 @@ const DefaultReservoirPoints = 8192
 // runs round-trip exactly and long runs degrade to a coarser, evenly
 // spaced grid instead of unbounded growth.
 //
+// A reservoir whose capacity covers every sample a run can produce
+// never decimates: that is how a run record keeps its lossless series.
+//
 // Alongside the downsampled points the reservoir streams the exact
 // Summary aggregates, so averages never suffer from the decimation.
 // All methods are safe for concurrent use: the daemon reads a run's
@@ -302,6 +303,18 @@ func NewReservoir(pointsPerSocket int) *Reservoir {
 		pointsPerSocket = DefaultReservoirPoints
 	}
 	return &Reservoir{capacity: pointsPerSocket}
+}
+
+// Grow makes the reservoir cover at least n sockets, so that a socket
+// that produced no sample still counts in Sockets and Summary: a
+// decoded trace keeps its empty series.
+func (r *Reservoir) Grow(n int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for len(r.sockets) < n {
+		r.sockets = append(r.sockets, &reservoirSocket{stride: 1})
+	}
+	r.sum.grow(n - 1)
 }
 
 // Consume implements Sink.
@@ -474,38 +487,3 @@ func (c *CSVSink) Count() int { return c.count }
 
 // Err returns the first write error, if any.
 func (c *CSVSink) Err() error { return c.err }
-
-// JSONLSink is a Sink that streams every sample as one JSON line in the
-// wire v1 trace-point vocabulary (time_ns, core_hz, …) with a leading
-// socket field, holding nothing in memory. Write errors are sticky.
-type JSONLSink struct {
-	w     io.Writer
-	count int
-	err   error
-}
-
-// NewJSONLSink returns a sink streaming all sockets' samples to w.
-func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
-
-// Consume implements Sink.
-func (j *JSONLSink) Consume(socket int, p sim.TracePoint) {
-	if j.err != nil {
-		return
-	}
-	if _, err := fmt.Fprintf(j.w,
-		`{"socket":%d,"time_ns":%d,"core_hz":%g,"uncore_hz":%g,"pkg_w":%g,"dram_w":%g,"cap_pl1_w":%g,"cap_pl2_w":%g,"bw_bps":%g,"flops":%g}`+"\n",
-		socket, int64(p.Time), float64(p.CoreFreq), float64(p.UncoreFreq),
-		p.PkgPower.Watts(), p.DramPower.Watts(),
-		p.CapPL1.Watts(), p.CapPL2.Watts(),
-		float64(p.Bandwidth), float64(p.FlopRate)); err != nil {
-		j.err = err
-		return
-	}
-	j.count++
-}
-
-// Count returns the number of lines written.
-func (j *JSONLSink) Count() int { return j.count }
-
-// Err returns the first write error, if any.
-func (j *JSONLSink) Err() error { return j.err }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dufp/internal/sim"
-	"dufp/internal/units"
 )
 
 // feed streams a slice into a sink for one socket, in order.
@@ -39,26 +38,6 @@ func TestSummarizerBitIdenticalToSliceAverages(t *testing.T) {
 	}
 	if math.Float64bits(float64(s.AvgPkgPower[0])) != math.Float64bits(float64(AvgPower(pts))) {
 		t.Fatal("Summary.AvgPkgPower differs from slice average")
-	}
-}
-
-func TestRecorderSummaryMatchesStreaming(t *testing.T) {
-	pts := points(300)
-	rec := NewRecorder(2)
-	var sum Summarizer
-	for _, p := range pts {
-		rec.Consume(0, p)
-		rec.Consume(1, p)
-		sum.Consume(0, p)
-		sum.Consume(1, p)
-	}
-	got, want := rec.Summary(), sum.Summary()
-	for s := 0; s < 2; s++ {
-		if got.Points[s] != want.Points[s] ||
-			math.Float64bits(float64(got.AvgCoreFreq[s])) != math.Float64bits(float64(want.AvgCoreFreq[s])) ||
-			math.Float64bits(float64(got.AvgPkgPower[s])) != math.Float64bits(float64(want.AvgPkgPower[s])) {
-			t.Fatalf("socket %d: recorder summary %+v != streaming %+v", s, got, want)
-		}
 	}
 }
 
@@ -323,38 +302,17 @@ func TestCSVSinkMatchesWriteCSV(t *testing.T) {
 
 func TestWriteCSVSeqMatchesWriteCSV(t *testing.T) {
 	pts := points(80)
-	rec := NewRecorder(1)
-	feed(rec, 0, pts)
+	r := NewReservoir(len(pts))
+	feed(r, 0, pts)
 	var want, got strings.Builder
 	if err := WriteCSV(&want, pts); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCSVSeq(&got, rec.Points(0)); err != nil {
+	if err := WriteCSVSeq(&got, r.Points(0)); err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != want.String() {
 		t.Fatal("WriteCSVSeq output differs from WriteCSV")
-	}
-}
-
-func TestJSONLSinkStreamsAllSockets(t *testing.T) {
-	var b strings.Builder
-	j := NewJSONLSink(&b)
-	j.Consume(0, sim.TracePoint{Time: time.Second, CoreFreq: 2 * units.Gigahertz, PkgPower: 95})
-	j.Consume(1, sim.TracePoint{Time: time.Second})
-	if j.Count() != 2 {
-		t.Fatalf("Count = %d, want 2", j.Count())
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines", len(lines))
-	}
-	if !strings.Contains(lines[0], `"socket":0`) || !strings.Contains(lines[0], `"time_ns":1000000000`) ||
-		!strings.Contains(lines[0], `"core_hz":2e+09`) {
-		t.Fatalf("line 0 = %s", lines[0])
-	}
-	if !strings.Contains(lines[1], `"socket":1`) {
-		t.Fatalf("line 1 = %s", lines[1])
 	}
 }
 
@@ -371,47 +329,38 @@ func TestTeeFansOutAndSkipsNil(t *testing.T) {
 	}
 }
 
-func TestRecorderIterators(t *testing.T) {
+// TestReservoirGrowKeepsEmptySockets: Grow counts sockets that produced
+// no sample in Sockets and Summary, with an empty view, and never
+// shrinks the reservoir; iteration stops early on request and yields
+// nothing for sockets out of range.
+func TestReservoirGrowKeepsEmptySockets(t *testing.T) {
 	pts := points(30)
-	rec := NewRecorder(2)
-	feed(rec, 0, pts)
-	feed(rec, 1, pts[:10])
+	r := NewReservoir(0)
+	feed(r, 0, pts)
+	r.Grow(3)
+	r.Grow(1)
+	if r.Sockets() != 3 || r.Summary().Sockets() != 3 {
+		t.Fatalf("sockets %d, summary sockets %d, want 3", r.Sockets(), r.Summary().Sockets())
+	}
+	if r.Len(2) != 0 || len(r.Snapshot(2)) != 0 || r.Summary().Points[2] != 0 {
+		t.Fatal("a grown socket holds samples")
+	}
 	i := 0
-	for p := range rec.Points(0) {
+	for p := range r.Points(0) {
 		if p != pts[i] {
 			t.Fatalf("point %d differs", i)
 		}
-		i++
-	}
-	if i != len(pts) {
-		t.Fatalf("iterated %d points, want %d", i, len(pts))
-	}
-	// Early break works.
-	i = 0
-	for range rec.Points(0) {
-		i++
-		if i == 5 {
+		if i++; i == 5 {
 			break
 		}
 	}
 	if i != 5 {
 		t.Fatal("early break failed")
 	}
-	// All() covers both sockets, socket-major.
-	total, lastSocket := 0, -1
-	for s, _ := range rec.All() {
-		if s < lastSocket {
-			t.Fatal("All() not socket-major")
+	for _, s := range []int{2, 3, -1} {
+		for range r.Points(s) {
+			t.Fatalf("socket %d yielded a point", s)
 		}
-		lastSocket = s
-		total++
-	}
-	if total != len(pts)+10 {
-		t.Fatalf("All() yielded %d points, want %d", total, len(pts)+10)
-	}
-	// Out-of-range socket iterates nothing.
-	for range rec.Points(9) {
-		t.Fatal("out-of-range socket yielded a point")
 	}
 }
 

@@ -2,150 +2,22 @@
 // during a run, the data behind the paper's Fig 5, and renders them as CSV
 // or as summary statistics.
 //
-// The package has two consumption models. The streaming model (sink.go)
-// is the primary one: a Sink sees each sample once, as the simulator
-// produces it, and aggregates in O(1) memory per run — Reservoir,
-// Summarizer, WindowStats, CSVSink, JSONLSink, composed with Tee. The
-// slice model — Recorder accumulating full per-socket series — remains
-// for consumers that genuinely need every sample after the run; access
-// goes through the Points/All iterators (the slice accessors
-// Recorder.Socket and FromSeries served their one-release deprecation
-// window and are gone).
+// A Sink sees each sample once, as the simulator produces it, and keeps
+// only what it needs (sink.go): Reservoir retains the series — bounded
+// and decimated, or lossless when sized to the run — Summarizer and
+// WindowStats aggregate in O(1) memory, CSVSink writes rows, and Tee
+// composes them.
 package trace
 
 import (
 	"fmt"
 	"io"
 	"iter"
-	"sync/atomic"
 	"time"
 
-	"dufp/internal/obs"
 	"dufp/internal/sim"
 	"dufp/internal/units"
 )
-
-// droppedPoints counts points offered for sockets a recorder was not
-// sized for, across all recorders — a silent data loss made visible.
-var droppedPoints = obs.Default().Counter(
-	"trace_dropped_points_total", "trace points dropped because the socket index was outside the recorder").With()
-
-// Recorder collects trace points for every socket of a machine. Samples
-// are stored struct-of-arrays (see colSeries), so a Recorder held in a
-// worker's scratch arena can be Reset between runs and reuse its column
-// capacity instead of reallocating per run.
-type Recorder struct {
-	series  []colSeries
-	dropped atomic.Int64
-}
-
-// NewRecorder creates a recorder for a machine with the given socket
-// count.
-func NewRecorder(sockets int) *Recorder {
-	return &Recorder{series: make([]colSeries, sockets)}
-}
-
-// Reserve pre-allocates capacity for about n points per socket, so a run
-// of known length appends without reallocating mid-trace. A hint, not a
-// limit: runs may exceed it (growing as usual) or fall short.
-func (r *Recorder) Reserve(n int) {
-	if n <= 0 {
-		return
-	}
-	for i := range r.series {
-		r.series[i].reserve(n)
-	}
-}
-
-// Reset discards all recorded samples and the drop count while keeping
-// every column's backing array, so the next run appends into already-
-// sized memory. The socket count is fixed at construction.
-func (r *Recorder) Reset() {
-	for i := range r.series {
-		r.series[i].reset()
-	}
-	r.dropped.Store(0)
-}
-
-// Consume implements Sink: the recorder appends each sample to its
-// socket's series. Points for sockets outside the recorder's range are
-// counted as drops — locally and on the telemetry registry — instead of
-// vanishing invisibly.
-func (r *Recorder) Consume(socket int, p sim.TracePoint) {
-	if socket < 0 || socket >= len(r.series) {
-		r.dropped.Add(1)
-		droppedPoints.Inc()
-		return
-	}
-	r.series[socket].append(p)
-}
-
-// Hook returns the callback to pass as sim.RunOpts.Trace.
-func (r *Recorder) Hook() func(socket int, p sim.TracePoint) {
-	return r.Consume
-}
-
-// Dropped returns the number of points this recorder's hook dropped for
-// out-of-range sockets.
-func (r *Recorder) Dropped() int64 { return r.dropped.Load() }
-
-// Sockets returns the number of sockets the recorder was sized for.
-func (r *Recorder) Sockets() int { return len(r.series) }
-
-// Points returns an iterator over one socket's recorded series, in time
-// order.
-func (r *Recorder) Points(socket int) iter.Seq[sim.TracePoint] {
-	return func(yield func(sim.TracePoint) bool) {
-		if socket < 0 || socket >= len(r.series) {
-			return
-		}
-		c := &r.series[socket]
-		for i := 0; i < c.len(); i++ {
-			if !yield(c.at(i)) {
-				return
-			}
-		}
-	}
-}
-
-// All returns an iterator over every recorded sample as (socket, point)
-// pairs, socket-major in time order — the order a per-socket replay
-// would produce.
-func (r *Recorder) All() iter.Seq2[int, sim.TracePoint] {
-	return func(yield func(int, sim.TracePoint) bool) {
-		for s := range r.series {
-			c := &r.series[s]
-			for i := 0; i < c.len(); i++ {
-				if !yield(s, c.at(i)) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// Summary computes the recorder's O(1) aggregate. The accumulation
-// replays the recorded samples in emission order, so the result is
-// bit-identical to a Summarizer that streamed the same run.
-func (r *Recorder) Summary() Summary {
-	var s Summarizer
-	for i := range r.series {
-		s.grow(i)
-		c := &r.series[i]
-		for j := 0; j < c.len(); j++ {
-			s.Consume(i, c.at(j))
-		}
-	}
-	return s.Summary()
-}
-
-// Len returns the number of points recorded for socket 0.
-func (r *Recorder) Len() int {
-	if len(r.series) == 0 {
-		return 0
-	}
-	return r.series[0].len()
-}
 
 // AvgCoreFreq returns the average delivered core frequency of a socket's
 // series, the Fig 5 headline number.
@@ -205,7 +77,7 @@ func WriteCSV(w io.Writer, points []sim.TracePoint) error {
 
 // WriteCSVSeq renders an iterator of samples in the same dialect as
 // WriteCSV: byte-identical output for the same points, but fed from any
-// source — a Recorder socket, a Reservoir snapshot, or a custom stream.
+// source — a Reservoir socket or a custom stream.
 func WriteCSVSeq(w io.Writer, points iter.Seq[sim.TracePoint]) error {
 	if _, err := fmt.Fprintln(w, csvHeader); err != nil {
 		return err

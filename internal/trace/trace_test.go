@@ -2,7 +2,6 @@ package trace
 
 import (
 	"math"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -26,44 +25,6 @@ func points(n int) []sim.TracePoint {
 		}
 	}
 	return out
-}
-
-func TestRecorderCollects(t *testing.T) {
-	r := NewRecorder(4)
-	hook := r.Hook()
-	for i := 0; i < 10; i++ {
-		for s := 0; s < 4; s++ {
-			hook(s, sim.TracePoint{Time: time.Duration(i) * time.Millisecond})
-		}
-	}
-	if r.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", r.Len())
-	}
-	if got := len(slices.Collect(r.Points(3))); got != 10 {
-		t.Fatalf("socket 3 has %d points", got)
-	}
-	if slices.Collect(r.Points(7)) != nil || slices.Collect(r.Points(-1)) != nil {
-		t.Fatal("out-of-range socket returned points")
-	}
-	// Out-of-range hook calls are dropped, not panicking.
-	hook(99, sim.TracePoint{})
-}
-
-func TestRecorderCountsDrops(t *testing.T) {
-	r := NewRecorder(1)
-	hook := r.Hook()
-	hook(0, sim.TracePoint{Time: time.Millisecond})
-	hook(-1, sim.TracePoint{})
-	hook(5, sim.TracePoint{})
-	if got := r.Dropped(); got != 2 {
-		t.Fatalf("Dropped = %d, want 2", got)
-	}
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d, want 1: drops must not land in a series", r.Len())
-	}
-	if NewRecorder(2).Dropped() != 0 {
-		t.Fatal("fresh recorder reports drops")
-	}
 }
 
 func TestAverages(t *testing.T) {

@@ -1,10 +1,9 @@
 // Package wirebin is the harness's compact binary codec: a varint-coded,
-// schema-pinned encoding of the result types that cross process
-// boundaries in bulk — run measurements (metrics.Run) and streaming
-// trace summaries (trace.Summary). It sits next to the JSON wire schema
-// (wire v1.1) as the hot-path alternative: the disk cache's v3 segment
-// format frames wirebin bodies, where JSON marshalling would dominate
-// warm replay.
+// schema-pinned encoding of the result type that crosses process
+// boundaries in bulk, the run measurement (metrics.Run). It sits next to
+// the JSON wire schema (wire v1.1) as the hot-path alternative: the disk
+// cache's v3 segment format frames wirebin bodies, where JSON
+// marshalling would dominate warm replay.
 //
 // The encoding has no field names or tags: fields are laid out in the
 // fixed column order the codec version pins, so readers and writers must
@@ -29,7 +28,6 @@ import (
 	"time"
 
 	"dufp/internal/metrics"
-	"dufp/internal/trace"
 	"dufp/internal/units"
 )
 
@@ -202,48 +200,4 @@ func ReadRun(r *Reader, in *Interner) metrics.Run {
 		AvgCoreFreq:  units.Frequency(r.Float64()),
 		AvgUncore:    units.Frequency(r.Float64()),
 	}
-}
-
-// AppendTraceSummary appends a streaming trace summary: the socket count
-// followed by that many (points, avg core frequency, avg package power)
-// column triples.
-func AppendTraceSummary(b []byte, s trace.Summary) []byte {
-	n := len(s.Points)
-	b = AppendUvarint(b, uint64(n))
-	for i := 0; i < n; i++ {
-		b = AppendUvarint(b, uint64(s.Points[i]))
-		b = AppendFloat64(b, float64(s.AvgCoreFreq[i]))
-		b = AppendFloat64(b, float64(s.AvgPkgPower[i]))
-	}
-	return b
-}
-
-// maxSummarySockets bounds the socket count a summary decode will
-// allocate for, so a corrupt length cannot demand gigabytes.
-const maxSummarySockets = 1 << 16
-
-// ReadTraceSummary decodes the columns AppendTraceSummary wrote.
-func ReadTraceSummary(r *Reader) trace.Summary {
-	n := r.Uvarint()
-	if r.err != nil || n == 0 {
-		return trace.Summary{}
-	}
-	if n > maxSummarySockets {
-		r.fail("trace summary socket count")
-		return trace.Summary{}
-	}
-	s := trace.Summary{
-		Points:      make([]int, n),
-		AvgCoreFreq: make([]units.Frequency, n),
-		AvgPkgPower: make([]units.Power, n),
-	}
-	for i := range s.Points {
-		s.Points[i] = int(r.Uvarint())
-		s.AvgCoreFreq[i] = units.Frequency(r.Float64())
-		s.AvgPkgPower[i] = units.Power(r.Float64())
-	}
-	if r.err != nil {
-		return trace.Summary{}
-	}
-	return s
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dufp/internal/metrics"
-	"dufp/internal/trace"
 	"dufp/internal/units"
 )
 
@@ -87,35 +86,6 @@ func TestInt64ZigZag(t *testing.T) {
 	}
 }
 
-func TestTraceSummaryRoundTrip(t *testing.T) {
-	want := trace.Summary{
-		Points:      []int{10, 0, 7},
-		AvgCoreFreq: []units.Frequency{2.1e9, 0, 1.9283746574839201e9},
-		AvgPkgPower: []units.Power{110.00000000000001, 0, 13.37},
-	}
-	b := AppendTraceSummary(nil, want)
-	r := NewReader(b)
-	got := ReadTraceSummary(r)
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got.Sockets() != want.Sockets() {
-		t.Fatalf("sockets %d != %d", got.Sockets(), want.Sockets())
-	}
-	for i := range want.Points {
-		if got.Points[i] != want.Points[i] ||
-			math.Float64bits(float64(got.AvgCoreFreq[i])) != math.Float64bits(float64(want.AvgCoreFreq[i])) ||
-			math.Float64bits(float64(got.AvgPkgPower[i])) != math.Float64bits(float64(want.AvgPkgPower[i])) {
-			t.Fatalf("socket %d differs: %+v vs %+v", i, got, want)
-		}
-	}
-	// Empty summary round-trips to empty.
-	r.Reset(AppendTraceSummary(nil, trace.Summary{}))
-	if got := ReadTraceSummary(r); got.Sockets() != 0 || r.Err() != nil {
-		t.Fatalf("empty summary decoded to %+v (err %v)", got, r.Err())
-	}
-}
-
 func TestTruncationLatchesError(t *testing.T) {
 	run := randRun(rand.New(rand.NewSource(2)))
 	full := AppendRun(nil, run)
@@ -131,14 +101,6 @@ func TestTruncationLatchesError(t *testing.T) {
 		if r.Err() == nil {
 			t.Fatal("error unlatched")
 		}
-	}
-}
-
-func TestSummaryBogusLengthRejected(t *testing.T) {
-	b := AppendUvarint(nil, 1<<40) // absurd socket count
-	r := NewReader(b)
-	if got := ReadTraceSummary(r); r.Err() == nil || got.Sockets() != 0 {
-		t.Fatalf("bogus socket count decoded: %+v err=%v", got, r.Err())
 	}
 }
 

@@ -2,7 +2,6 @@ package dufp
 
 import (
 	"context"
-	"slices"
 
 	"dufp/internal/control"
 	"dufp/internal/exec"
@@ -33,15 +32,6 @@ type (
 // DefaultGuardConfig returns the hardened-controller guard defaults.
 func DefaultGuardConfig() GuardConfig { return control.DefaultGuard() }
 
-// TraceRecorder is a run's full per-socket time-series recording, read
-// with Points or All.
-//
-// A recorder holds every sample of the run in memory. New consumers
-// should prefer streaming the samples into a TraceSink (WithTraceSink):
-// a TraceReservoir for bounded plotting data, a windowed or whole-run
-// summary, or a CSV/JSONL writer.
-type TraceRecorder = trace.Recorder
-
 // Streaming trace facade (see internal/trace). A sink observes each
 // (socket, sample) pair once, as the simulator produces it, so memory
 // per run is O(1) in run duration no matter how long MaxDuration is.
@@ -51,12 +41,13 @@ type (
 	// run — sink-observed runs stay bit-identical to unobserved ones.
 	TraceSink = trace.Sink
 	// TraceSummary is the exact O(1) aggregate of a run's trace:
-	// per-socket sample counts and streaming averages. Every traced or
+	// per-socket sample counts and streaming averages. Every recorded or
 	// sink-observed run carries one in RunResult.TraceSummary.
 	TraceSummary = trace.Summary
 	// TraceReservoir retains a bounded, deterministically downsampled
 	// view of the trace plus its exact summary; safe for concurrent
-	// reads while the run is producing.
+	// reads while the run is producing. RunResult.Trace is one sized to
+	// keep every sample.
 	TraceReservoir = trace.Reservoir
 )
 
@@ -97,159 +88,103 @@ type RunSpec struct {
 
 // runOptions collects the per-run settings of Session.Run.
 type runOptions struct {
-	trace, events, timeline, faultStats, spans bool
-	sink                                       TraceSink
-	faults                                     *FaultPlan
+	record bool
+	sink   TraceSink
 }
 
 // RunOption adjusts one Session.Run call.
 type RunOption func(*runOptions)
 
-// WithTrace attaches a full time-series recording to the run. Traced
-// runs flow through the executor's worker pool but never read the memo
-// cache: the recording is a side effect that must be produced fresh.
-// Memory grows with run duration — prefer WithTraceSink for long runs.
-func WithTrace() RunOption { return func(o *runOptions) { o.trace = true } }
-
 // WithTraceSink streams every trace sample into s as the simulator
-// produces it — the O(1)-memory alternative to WithTrace. The sink is
-// called from the run's single decision loop with (socket, sample) in
-// emission order; combine consumers with trace.Tee. Sink-observed runs
-// execute fresh (the stream is a side effect) but are bit-identical to
-// unobserved ones, so their results still populate the caches.
+// produces it, in O(1) memory however long the run. The sink is called
+// from the run's single decision loop with (socket, sample) in emission
+// order; combine consumers with trace.Tee. Besides the stream the
+// result carries only the TraceSummary.
 func WithTraceSink(s TraceSink) RunOption { return func(o *runOptions) { o.sink = s } }
 
-// WithEvents returns the decision log of socket 0's controller instance
-// (empty for controllers that do not record one). Like traced runs,
-// event-bearing runs bypass the memo cache.
-func WithEvents() RunOption { return func(o *runOptions) { o.events = true } }
+// WithRecord returns the run's whole record: every field of RunResult.
+// If ctx already carries a SpanTrace (the daemon's dispatch path) that
+// trace is reused and left unfinished for its owner; otherwise a fresh
+// trace keyed by the run's wire ID is created and finished.
+//
+// A recorded or sink-observed run executes fresh, because its sideband
+// cannot be replayed from a cache. Observers never change the measured
+// run, so the Run it returns is bit-identical to an unobserved one and
+// is written through to the memo and disk tiers for later submissions
+// to reuse.
+func WithRecord() RunOption { return func(o *runOptions) { o.record = true } }
 
-// WithTimeline returns the run's audit trail — controller decisions
-// joined with the nearest trace samples — and implies WithTrace and
-// WithEvents.
-func WithTimeline() RunOption {
-	return func(o *runOptions) { o.timeline, o.trace, o.events = true, true, true }
-}
-
-// WithSpans attaches a span flight recorder to the run and returns its
-// trace and per-stage summary. If ctx already carries a SpanTrace (the
-// daemon's dispatch path) that trace is reused and left unfinished for
-// its owner; otherwise a fresh trace keyed by the run's wire ID is
-// created and finished. Span-bearing runs bypass the memo cache like
-// other sideband artifacts: the stage timings must be produced fresh.
-func WithSpans() RunOption { return func(o *runOptions) { o.spans = true } }
-
-// WithFaultStats returns the injected-fault and sample-guard counters
-// of the run. Stat-bearing runs bypass the memo cache.
-func WithFaultStats() RunOption { return func(o *runOptions) { o.faultStats = true } }
-
-// WithFaults overrides the session's fault plan for this run only. The
-// plan participates in run identity exactly as a session-level plan
-// does.
-func WithFaults(p FaultPlan) RunOption {
-	return func(o *runOptions) { o.faults = &p }
-}
-
-// RunResult bundles one run's measurements with the artifacts requested
-// through RunOptions; unrequested fields are zero.
+// RunResult bundles one run's measurements with its sideband: WithRecord
+// fills every field, WithTraceSink only TraceSummary, and a plain run
+// none but Run.
 type RunResult struct {
 	// Run is the paper-protocol measurement of the run.
 	Run Run
-	// Trace is the per-socket time series (WithTrace / WithTimeline).
-	Trace *TraceRecorder
-	// TraceSummary is the exact streaming aggregate of the trace,
-	// present whenever the run was traced or sink-observed (WithTrace /
-	// WithTraceSink / WithTimeline).
+	// Trace is the per-socket time series, lossless: its reservoir is
+	// sized to every sample the run can emit.
+	Trace *TraceReservoir
+	// TraceSummary is the exact streaming aggregate of the trace.
 	TraceSummary *TraceSummary
-	// Events is socket 0's decision log (WithEvents / WithTimeline).
+	// Events is socket 0's decision log (empty for controllers that do
+	// not record one).
 	Events []ControlEvent
-	// Timeline is the joined audit trail (WithTimeline).
+	// Timeline joins Events with socket 0's trace samples.
 	Timeline Timeline
-	// FaultStats and GuardStats are the robustness counters
-	// (WithFaultStats).
+	// FaultStats counts the faults the session's plan injected.
 	FaultStats FaultStats
 	// GuardStats sums the sample-guard outcomes across sockets.
 	GuardStats GuardStats
-	// SpanTrace is the run's span flight recorder (WithSpans).
+	// SpanTrace is the run's span flight recorder.
 	SpanTrace *SpanTrace
-	// Spans is the compact per-stage duration summary of SpanTrace
-	// (WithSpans); it is the only span artifact carried by wire v1.
+	// Spans is the compact per-stage duration summary of SpanTrace; it
+	// is the only span artifact carried by wire v1.
 	Spans *SpanSummary
 }
 
 // Run executes one run of spec.App under spec.Governor through the run
 // executor: identical requests coalesce while in flight, and runs
-// without sideband artifacts memoise once complete — a memoised result
-// is bit-identical to a fresh one. ctx cancels the run between decision
+// without sideband memoise once complete — a memoised result is
+// bit-identical to a fresh one. ctx cancels the run between decision
 // rounds.
 func (s Session) Run(ctx context.Context, spec RunSpec, opts ...RunOption) (RunResult, error) {
 	var o runOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.faults != nil {
-		s.Faults = *o.faults
-	}
-	sideband := o.trace || o.events || o.faultStats || o.spans || o.sink != nil
 	key := s.specKey(spec)
-	if !sideband {
+	if !o.record && o.sink == nil {
 		r, err := s.executor().Submit(ctx, key)
 		if err != nil {
 			return RunResult{}, wrapErr("run", err)
 		}
 		return RunResult{Run: r}, nil
 	}
-	// This run owns its payload, so the sideband fields are its own.
-	p := key.Payload.(*runPayload)
-	p.traced, p.keep, p.sink = o.trace, true, o.sink
+	// This run owns its payload, so the record is its own.
+	rec := &runRecord{sink: o.sink, full: o.record}
+	key.Payload.(*runPayload).rec = rec
 	var tr *SpanTrace
 	ownTrace := false
-	if o.spans {
+	if o.record {
 		if tr = span.FromContext(ctx); tr == nil {
 			tr = span.New(exec.RunID(key.ID()))
 			ctx = span.NewContext(ctx, tr)
 			ownTrace = true
 		}
 	}
-	// Sideband runs execute fresh — artifacts and sink streams cannot be
-	// replayed from a cache — but, because observers never change the
-	// measured run, the Run they return is written through to the memo
-	// and disk tiers for later artifact-free submissions to reuse.
 	r, err := s.executor().SubmitFresh(ctx, key)
-	if o.spans && ownTrace {
+	if ownTrace {
 		tr.Finish()
 	}
 	if err != nil {
 		return RunResult{}, wrapErr("run", err)
 	}
-	res := RunResult{Run: r, TraceSummary: p.summary}
-	if o.trace {
-		res.Trace = p.rec
-	}
-	if o.events {
-		for _, inst := range p.insts {
-			if inst == nil {
-				continue
-			}
-			if evs := EventsOf(inst); evs != nil {
-				res.Events = evs
-				break
-			}
-		}
-	}
-	if o.timeline {
-		res.Timeline = timeline.Build(res.Events, slices.Collect(p.rec.Points(0)))
-	}
-	if o.faultStats {
-		res.FaultStats = p.faults
-		for _, inst := range p.insts {
-			res.GuardStats = res.GuardStats.Add(guardStatsOf(inst))
-		}
-	}
-	if o.spans {
-		res.SpanTrace = tr
+	res := RunResult{Run: r, TraceSummary: rec.summary}
+	if o.record {
 		sum := tr.Summary()
-		res.Spans = &sum
+		res.Trace, res.Events = rec.samples, rec.events
+		res.Timeline = timeline.Build(rec.events, rec.samples.Snapshot(0))
+		res.FaultStats, res.GuardStats = rec.faults, rec.guard
+		res.SpanTrace, res.Spans = tr, &sum
 	}
 	return res, nil
 }

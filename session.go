@@ -47,7 +47,7 @@ type Session struct {
 	// The zero plan injects nothing and keeps runs bit-identical to a
 	// fault-free session; a non-zero plan is part of run identity, so
 	// faulted and clean runs never share cache entries. Set it with
-	// WithFaultPlan or per run with WithFaults.
+	// WithFaultPlan, or on a copy of the session for a single run.
 	Faults FaultPlan
 	// ExactPhysics forces the simulator's reference per-tick loop,
 	// disabling the event-horizon macro-step (DESIGN.md §11). Results are
@@ -141,14 +141,21 @@ func (s Session) runSeed(app string, idx int) int64 {
 	return s.Seed + h%100003 + int64(idx)*6700417
 }
 
-// runArtifacts carries a run's sideband outputs: the trace recording,
-// the streaming trace summary, the controller instances (event logs,
-// guard counters) and the injected-fault counters.
-type runArtifacts struct {
-	rec     *trace.Recorder
+// runRecord is what a fresh run keeps beside its measurement; execute
+// fills it. Every record streams the samples into sink, when set, and
+// keeps their exact summary. A full record also keeps the lossless
+// series, socket 0's decision log and the fault and guard counters.
+type runRecord struct {
+	// sink receives every sample as the run produces it (WithTraceSink).
+	sink trace.Sink
+	// full asks for the whole record (WithRecord).
+	full bool
+
+	samples *trace.Reservoir
 	summary *trace.Summary
-	insts   []control.Instance
+	events  []control.Event
 	faults  fault.Stats
+	guard   control.GuardStats
 }
 
 // execute is the uncached run path behind the executor: build a machine,
@@ -158,15 +165,13 @@ type runArtifacts struct {
 // controllers' guard events; spans left open on an error path are
 // closed by the trace's Finish.
 //
-// traced attaches a full Recorder; sink, when non-nil, receives every
-// sample as it is produced (the streaming pipeline — O(1) memory here
-// however long the run). Either one enables the trace cadence, and both
-// observe the identical sample stream.
-func (s Session) execute(ctx context.Context, app App, mk GovernorFunc, idx int, traced bool, sink trace.Sink) (Run, runArtifacts, error) {
+// A non-nil rec turns on the trace cadence and is filled as runRecord
+// says; its sink sees the same sample stream as its series.
+func (s Session) execute(ctx context.Context, app App, mk GovernorFunc, idx int, rec *runRecord) (Run, error) {
 	tr := span.FromContext(ctx)
 	setup := tr.Start(span.StageSetup)
 	if err := app.Validate(); err != nil {
-		return Run{}, runArtifacts{}, err
+		return Run{}, err
 	}
 	seed := s.runSeed(app.Name, idx)
 
@@ -174,11 +179,11 @@ func (s Session) execute(ctx context.Context, app App, mk GovernorFunc, idx int,
 	cfg.Seed = seed
 	m, err := machineFor(ctx, cfg)
 	if err != nil {
-		return Run{}, runArtifacts{}, err
+		return Run{}, err
 	}
 	phases := app.Unroll(rand.New(rand.NewSource(seed*31+7)), s.Jitter)
 	if err := m.Load(phases); err != nil {
-		return Run{}, runArtifacts{}, err
+		return Run{}, err
 	}
 
 	// The fault plan, when enabled, wraps the sensor/actuator seams.
@@ -189,7 +194,7 @@ func (s Session) execute(ctx context.Context, app App, mk GovernorFunc, idx int,
 	var inj *fault.Injector
 	if s.Faults.Enabled() {
 		if err := s.Faults.Validate(); err != nil {
-			return Run{}, runArtifacts{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
+			return Run{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
 		inj = fault.NewInjector(s.Faults, seed, m.Now)
 		dev = inj.Device(m.MSR())
@@ -197,7 +202,7 @@ func (s Session) execute(ctx context.Context, app App, mk GovernorFunc, idx int,
 
 	govs, insts, err := s.attach(m, mk, seed, dev, inj)
 	if err != nil {
-		return Run{}, runArtifacts{}, err
+		return Run{}, err
 	}
 	var govName string
 	for _, inst := range insts {
@@ -205,7 +210,7 @@ func (s Session) execute(ctx context.Context, app App, mk GovernorFunc, idx int,
 			continue
 		}
 		if err := inst.Start(); err != nil {
-			return Run{}, runArtifacts{}, err
+			return Run{}, err
 		}
 		govName = inst.Name()
 	}
@@ -226,49 +231,45 @@ func (s Session) execute(ctx context.Context, app App, mk GovernorFunc, idx int,
 	if allNil(govs) {
 		opts.Governors = nil
 	}
-	var rec *trace.Recorder
 	var sum *trace.Summarizer
-	if traced || sink != nil {
+	if rec != nil {
 		opts.TraceEvery = 10
-		// Every tracing run also streams the exact O(1) summary, so the
-		// result carries headline trace aggregates without the series.
+		// Every record streams the exact O(1) summary, so the result
+		// carries headline trace aggregates without the series.
 		sum = trace.NewSummarizer()
 		sinks := []trace.Sink{sum}
-		if traced {
-			rec = trace.NewRecorder(m.Sockets())
-			// Size the series to the workload's nominal length so tracing
-			// appends without mid-run reallocation (a hint; capped runs that
-			// overshoot grow as usual).
-			var nominal time.Duration
-			for _, ph := range phases {
-				nominal += ph.Duration
-			}
-			rec.Reserve(int(nominal/s.Sim.Tick)/opts.TraceEvery + 2)
-			sinks = append(sinks, rec)
+		if rec.full {
+			// Sized to the most samples the run can emit before
+			// MaxDuration stops it, the reservoir never decimates; its
+			// blocks are allocated as samples arrive.
+			rec.samples = trace.NewReservoir(int(cfg.MaxDuration/cfg.Tick)/opts.TraceEvery + 1)
+			sinks = append(sinks, rec.samples)
 		}
-		if sink != nil {
-			sinks = append(sinks, sink)
-		}
-		opts.Trace = trace.Hook(trace.Tee(sinks...))
+		opts.Trace = trace.Hook(trace.Tee(append(sinks, rec.sink)...))
 	}
 	simSpan := tr.Start(span.StageSim)
 	simWallStart := tr.Now()
 	res, err := m.Run(opts)
 	simSpan.End()
 	if err != nil {
-		return Run{}, runArtifacts{}, fmt.Errorf("dufp: running %s under %s: %w", app.Name, govName, err)
+		return Run{}, fmt.Errorf("dufp: running %s under %s: %w", app.Name, govName, err)
 	}
 	if tr != nil {
 		attachControlEvents(tr, insts, res.Duration, simWallStart, tr.Now()-simWallStart)
 	}
 
-	art := runArtifacts{rec: rec, insts: insts}
-	if sum != nil {
+	if rec != nil {
 		sm := sum.Summary()
-		art.summary = &sm
-	}
-	if inj != nil {
-		art.faults = inj.Stats()
+		rec.summary = &sm
+		if rec.full {
+			rec.events = socket0Events(insts)
+			for _, inst := range insts {
+				rec.guard = rec.guard.Add(guardStatsOf(inst))
+			}
+			if inj != nil {
+				rec.faults = inj.Stats()
+			}
+		}
 	}
 	return Run{
 		App:          app.Name,
@@ -281,7 +282,7 @@ func (s Session) execute(ctx context.Context, app App, mk GovernorFunc, idx int,
 		AvgDramPower: res.AvgDramPower,
 		AvgCoreFreq:  res.AvgCoreFreq,
 		AvgUncore:    res.AvgUncoreFreq,
-	}, art, nil
+	}, nil
 }
 
 // SummarizeCtx performs n runs through the executor — concurrently, up to
@@ -363,6 +364,17 @@ func allNil(govs []sim.Governor) bool {
 		}
 	}
 	return true
+}
+
+// socket0Events returns the decision log of the first controller that
+// records one: socket 0's, since every socket runs the same governor.
+func socket0Events(insts []control.Instance) []ControlEvent {
+	for _, inst := range insts {
+		if evs := EventsOf(inst); evs != nil {
+			return evs
+		}
+	}
+	return nil
 }
 
 // slowdownOf extracts the tolerated slowdown from the first DUF/DUFP

@@ -23,12 +23,12 @@ func TestRunWithSpansFacade(t *testing.T) {
 	}
 	gov := dufp.DUFP(dufp.DefaultControlConfig(0.10))
 	res, err := session.Run(context.Background(), dufp.RunSpec{App: app, Governor: gov},
-		dufp.WithSpans())
+		dufp.WithRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.SpanTrace == nil || res.Spans == nil {
-		t.Fatal("WithSpans returned no span artifacts")
+		t.Fatal("WithRecord returned no span artifacts")
 	}
 	if !res.SpanTrace.Done() {
 		t.Error("facade-owned trace should be finished")
@@ -80,7 +80,7 @@ func TestRunWithSpansFacade(t *testing.T) {
 	// Span-traced runs are sideband: a second request recomputes rather
 	// than serving the first run's summary from the memo cache.
 	res2, err := session.Run(context.Background(), dufp.RunSpec{App: app, Governor: gov},
-		dufp.WithSpans())
+		dufp.WithRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRunResultSpansWire(t *testing.T) {
 	}
 	res, err := session.Run(context.Background(),
 		dufp.RunSpec{App: app, Governor: dufp.DUF(dufp.DefaultControlConfig(0.05))},
-		dufp.WithSpans())
+		dufp.WithRecord())
 	if err != nil {
 		t.Fatal(err)
 	}

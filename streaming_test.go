@@ -12,8 +12,7 @@ import (
 )
 
 // collectSink is the simplest possible TraceSink: it appends every
-// sample into per-socket slices, mirroring what the deprecated recorder
-// accumulation used to produce.
+// sample into per-socket slices.
 type collectSink struct {
 	series map[int][]dufp.TracePoint
 }
@@ -44,11 +43,11 @@ func randomSpec(t *testing.T, rng *rand.Rand) dufp.RunSpec {
 	return dufp.RunSpec{App: app, Governor: gov, Idx: rng.Intn(3)}
 }
 
-// TestStreamingSinkMatchesRecorder is the iterator-vs-slice property:
-// for random specs, a run observed through a streaming sink sees the
-// exact sample sequence the recorder accumulates — same sockets, same
-// order, bit-identical points — and the run measurement itself is
-// unchanged by observation.
+// TestStreamingSinkMatchesRecorder is the sink-vs-record property: for
+// random specs, a run observed through a streaming sink sees the exact
+// sample sequence its record keeps — same sockets, same order,
+// bit-identical points — and the run measurement itself is unchanged by
+// observation.
 func TestStreamingSinkMatchesRecorder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("traced runs in -short mode")
@@ -59,12 +58,12 @@ func TestStreamingSinkMatchesRecorder(t *testing.T) {
 		spec := randomSpec(t, rng)
 		session := dufp.NewSession()
 		sink := newCollectSink()
-		res, err := session.Run(ctx, spec, dufp.WithTrace(), dufp.WithTraceSink(sink))
+		res, err := session.Run(ctx, spec, dufp.WithRecord(), dufp.WithTraceSink(sink))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Trace == nil {
-			t.Fatal("WithTrace returned no recorder")
+			t.Fatal("WithRecord returned no trace")
 		}
 		if res.TraceSummary == nil {
 			t.Fatal("observed run carries no TraceSummary")
@@ -85,22 +84,22 @@ func TestStreamingSinkMatchesRecorder(t *testing.T) {
 			j := 0
 			for p := range res.Trace.Points(s) {
 				if j >= len(streamed) {
-					t.Fatalf("socket %d: recorder has more than the sink's %d points", s, len(streamed))
+					t.Fatalf("socket %d: record has more than the sink's %d points", s, len(streamed))
 				}
 				if streamed[j] != p {
-					t.Fatalf("socket %d point %d: sink %+v vs recorder %+v", s, j, streamed[j], p)
+					t.Fatalf("socket %d point %d: sink %+v vs record %+v", s, j, streamed[j], p)
 				}
 				j++
 			}
 			if j != len(streamed) {
-				t.Fatalf("socket %d: sink saw %d points, recorder %d", s, len(streamed), j)
+				t.Fatalf("socket %d: sink saw %d points, record %d", s, len(streamed), j)
 			}
 			if j == 0 {
 				t.Fatalf("socket %d: empty trace", s)
 			}
 		}
 
-		// The recorder's replayed summary equals the streamed one.
+		// The record's own summary equals the streamed one.
 		recSum := res.Trace.Summary()
 		for s := range recSum.AvgCoreFreq {
 			if recSum.AvgCoreFreq[s] != res.TraceSummary.AvgCoreFreq[s] ||
@@ -161,7 +160,7 @@ func TestStreamedLongRunMemoryBudget(t *testing.T) {
 	delta := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	// The reservoir itself is bounded (8192 points/socket); 16 MiB is an
 	// order of magnitude above everything the streamed path retains, and
-	// an order of magnitude below what recorder accumulation at this
+	// an order of magnitude below what a lossless record at this
 	// duration would cost.
 	const budget = 16 << 20
 	if delta > budget {

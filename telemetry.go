@@ -9,8 +9,8 @@ import (
 // the public API. The harness's built-in instrumentation — executor
 // scheduling counters and run-latency histogram, simulator tick and RAPL
 // clamp counts, controller decision counters and per-phase time/energy
-// attribution — publishes to Metrics(); runs expose their audit trail as
-// a Timeline through Session.RunWithTimeline.
+// attribution — publishes to Metrics(); a recorded run (WithRecord)
+// carries its audit trail as RunResult.Timeline.
 
 type (
 	// MetricsRegistry is a lock-free registry of counters, gauges and
@@ -35,7 +35,7 @@ func Metrics() *MetricsRegistry { return obs.Default() }
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // BuildTimeline joins a decision log with a trace series into the merged
-// audit stream, the operation behind Session.RunWithTimeline.
+// audit stream, the operation behind RunResult.Timeline.
 func BuildTimeline(events []ControlEvent, points []TracePoint) Timeline {
 	return timeline.Build(events, points)
 }

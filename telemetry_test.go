@@ -9,10 +9,10 @@ import (
 )
 
 // TestInstrumentedRunBitIdentical is the acceptance gate of the telemetry
-// layer: attaching the recorder, event log and timeline join must not
-// perturb the simulation. The same (app, governor, seed, index) run,
-// executed plain and instrumented on isolated executors, must produce
-// bit-identical Run measurements.
+// layer: keeping a run's record (trace, event log, timeline join and
+// spans) must not perturb the simulation. The same (app, governor, seed,
+// index) run, executed plain and instrumented on isolated executors,
+// must produce bit-identical Run measurements.
 func TestInstrumentedRunBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	app := fastApp(t)
@@ -26,7 +26,7 @@ func TestInstrumentedRunBitIdentical(t *testing.T) {
 	ref := refRes.Run
 
 	instr := dufp.NewSession().OnExecutor(dufp.NewExecutor())
-	instrRes, err := instr.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithTimeline())
+	instrRes, err := instr.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestTimelineCorrelatesDecisions(t *testing.T) {
 	gov := dufp.DUFP(dufp.DefaultControlConfig(0.10))
 
 	s := dufp.NewSession().OnExecutor(dufp.NewExecutor())
-	res, err := s.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithTimeline())
+	res, err := s.Run(ctx, dufp.RunSpec{App: app, Governor: gov}, dufp.WithRecord())
 	if err != nil {
 		t.Fatal(err)
 	}

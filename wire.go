@@ -496,8 +496,8 @@ type runResultJSON struct {
 	Timeline     *Timeline          `json:"timeline,omitempty"`
 	FaultStats   *faultStatsJSON    `json:"fault_stats,omitempty"`
 	GuardStats   *guardStatsJSON    `json:"guard_stats,omitempty"`
-	// Spans is the per-stage wall-clock decomposition of a span-traced
-	// run (WithSpans). The full span tree stays process-local; only
+	// Spans is the per-stage wall-clock decomposition of a recorded run
+	// (WithRecord). The full span tree stays process-local; only
 	// this summary crosses the wire. span.Summary is already in wire
 	// shape (snake_case, ns-suffixed), so it embeds as-is.
 	Spans *SpanSummary `json:"spans,omitempty"`
@@ -518,12 +518,10 @@ func (r RunResult) MarshalJSON() ([]byte, error) {
 	}
 	if r.Trace != nil {
 		for i := 0; i < r.Trace.Sockets(); i++ {
-			var series []tracePointJSON
-			for p := range r.Trace.Points(i) {
-				series = append(series, pointToJSON(p))
-			}
-			if series == nil {
-				series = []tracePointJSON{}
+			pts := r.Trace.Snapshot(i)
+			series := make([]tracePointJSON, len(pts))
+			for j, p := range pts {
+				series[j] = pointToJSON(p)
 			}
 			out.Trace = append(out.Trace, series)
 		}
@@ -559,8 +557,8 @@ func (r RunResult) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON decodes a versioned result, reconstructing the trace
-// recorder from the serialized series. Unknown fields from a newer
+// UnmarshalJSON decodes a versioned result, rebuilding the trace
+// reservoir from the serialized series. Unknown fields from a newer
 // minor revision of version 1 are ignored.
 func (r *RunResult) UnmarshalJSON(b []byte) error {
 	var in runResultJSON
@@ -580,16 +578,20 @@ func (r *RunResult) UnmarshalJSON(b []byte) error {
 		out.Events = append(out.Events, e)
 	}
 	if in.Trace != nil {
-		rec := trace.NewRecorder(len(in.Trace))
-		if len(in.Trace) > 0 {
-			rec.Reserve(len(in.Trace[0]))
+		// A reservoir as large as the longest series keeps every point,
+		// and Grow keeps the sockets whose series are empty.
+		longest := 0
+		for _, sj := range in.Trace {
+			longest = max(longest, len(sj))
 		}
+		rsv := trace.NewReservoir(longest)
+		rsv.Grow(len(in.Trace))
 		for i, sj := range in.Trace {
 			for _, pj := range sj {
-				rec.Consume(i, pointFromJSON(pj))
+				rsv.Consume(i, pointFromJSON(pj))
 			}
 		}
-		out.Trace = rec
+		out.Trace = rsv
 	}
 	if in.Timeline != nil {
 		out.Timeline = *in.Timeline

@@ -2,7 +2,9 @@ package dufp_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -104,7 +106,7 @@ func TestRunSpecRejections(t *testing.T) {
 	}
 }
 
-// TestRunResultRoundTrip runs a real traced run and pushes the full
+// TestRunResultRoundTrip runs a real recorded run and pushes the full
 // result through the wire, requiring bit-identical measurements and
 // artifacts on the far side.
 func TestRunResultRoundTrip(t *testing.T) {
@@ -115,7 +117,7 @@ func TestRunResultRoundTrip(t *testing.T) {
 	}
 	gov := dufp.DUFP(dufp.DefaultControlConfig(0.10))
 	res, err := session.Run(context.Background(), dufp.RunSpec{App: app, Governor: gov},
-		dufp.WithTimeline())
+		dufp.WithRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +157,56 @@ func TestRunResultRoundTrip(t *testing.T) {
 	}
 	if len(back.Timeline.Entries) != len(res.Timeline.Entries) {
 		t.Errorf("timeline %d entries -> %d", len(res.Timeline.Entries), len(back.Timeline.Entries))
+	}
+
+	// A decoded trace keeps its socket count: a last series without
+	// points re-encodes as an empty series, not as a missing one.
+	run, err := json.Marshal(res.Run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse := `{"v":1,"run":` + string(run) + `,"trace":[[{"time_ns":0,"core_hz":2800000000,` +
+		`"uncore_hz":2400000000,"pkg_w":100,"dram_w":10,"cap_pl1_w":125,"cap_pl2_w":150,` +
+		`"bw_bps":1000000000,"flops":1000000000}],[]]}`
+	var dec dufp.RunResult
+	if err := json.Unmarshal([]byte(sparse), &dec); err != nil {
+		t.Fatal(err)
+	}
+	if dec.Trace.Sockets() != 2 || dec.Trace.Len(1) != 0 {
+		t.Fatalf("decoded trace has %d sockets, %d points on the last", dec.Trace.Sockets(), dec.Trace.Len(1))
+	}
+	again, err := json.Marshal(dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != sparse {
+		t.Errorf("sparse trace re-encoded differently:\n%s\n%s", sparse, again)
+	}
+}
+
+// TestRecordWireGolden pins the wire bytes of one recorded run, EP under
+// DUFP at 10 %, with the wall-clock span fields cleared: the lossless
+// trace, its summary, socket 0's events and the timeline. Fault and
+// guard counters are zero, so the wire omits them.
+func TestRecordWireGolden(t *testing.T) {
+	session := dufp.NewSession(dufp.WithExecutor(dufp.NewExecutor()))
+	app, err := dufp.AppNamed("EP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := session.Run(context.Background(),
+		dufp.RunSpec{App: app, Governor: dufp.DUFP(dufp.DefaultControlConfig(0.10))}, dufp.WithRecord())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Spans, res.SpanTrace = nil, nil
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const golden = "d7f75a9895f98c461cb7c64c2c1849bbc14150c0a92ff03b86676f30f35e0a4f"
+	if sum := fmt.Sprintf("%x", sha256.Sum256(b)); sum != golden {
+		t.Errorf("recorded result: sha256 %s, want %s (%d bytes)", sum, golden, len(b))
 	}
 }
 
