@@ -24,9 +24,10 @@ tier1-api:
 	$(GO) test -race ./internal/api/... -count=1
 
 # tier1-obs gates the observability layer under the race detector: the
-# metrics registry and its exemplars, the span flight recorder, the
-# Perfetto export, and the exposition endpoints hammered concurrently
-# with histogram writers.
+# metrics registry and its exemplars, both expositions rendered while
+# histogram writers run, the span flight recorder, the Perfetto export
+# and the timeline join. dufpd serves the expositions over HTTP;
+# tier1-api covers that handler.
 tier1-obs:
 	$(GO) test -race ./internal/obs/... -count=1
 
@@ -69,9 +70,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSamplesQuery$$' -fuzztime 15s ./internal/api/
 	$(GO) test -run '^$$' -fuzz '^FuzzSamplesCodec$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/api/
 
-# cover enforces a floor on the telemetry layer's test coverage: the
-# registry and timeline are pure data plumbing, so near-total coverage is
-# cheap and regressions there are silent otherwise.
+# cover enforces a floor on the telemetry layer's test coverage
+# (internal/obs: the registry, the span recorder and the timeline join):
+# they are pure data plumbing, so near-total coverage is cheap and
+# regressions there are silent otherwise.
 COVER_PKGS = ./internal/obs/...
 COVER_MIN  = 85.0
 

@@ -129,7 +129,7 @@ func BenchmarkFig5(b *testing.B) {
 	}
 	var avg float64
 	n := 0
-	for p := range res.DUFP.Points.Points(0) {
+	for p := range res.DUFP.Trace.Points(0) {
 		avg += p.CoreFreq.GHz()
 		n++
 	}

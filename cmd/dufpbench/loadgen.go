@@ -107,7 +107,7 @@ func runLoadgen(ctx context.Context, opts experiment.Options, n int, dur time.Du
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: daemon.Handler()}
+	srv := &http.Server{Handler: daemon.FullHandler()}
 	go srv.Serve(ln)
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()

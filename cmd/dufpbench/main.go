@@ -14,9 +14,10 @@
 //	dufpbench -loadgen 32 -apps CG     # benchmark the Run API (BENCH_api.json)
 //
 // -listen serves the campaign over the same surface cmd/dufpd exposes:
-// the /v1 Run API plus the observability endpoints, on one listener —
-// it is a thin alias for an embedded dufpd sharing the invocation's
-// executor (and so its caches), minus the campaign journal.
+// the /v1 Run API plus /metrics, /metrics.json and /debug/pprof/, from
+// dufpd's one handler — it is a thin alias for an embedded dufpd
+// sharing the invocation's executor (and so its caches), minus the
+// campaign journal.
 package main
 
 import (
@@ -37,7 +38,6 @@ import (
 	"dufp"
 	"dufp/internal/api"
 	"dufp/internal/experiment"
-	"dufp/internal/obs/obshttp"
 	"dufp/internal/report"
 	"dufp/internal/trace"
 )
@@ -59,7 +59,7 @@ func benchMain() int {
 		html     = flag.String("html", "", "write the full campaign as an HTML report (charts + tables) to this file")
 		progress = flag.Bool("progress", false, "print live scheduler progress to stderr")
 		stats    = flag.String("stats", "", "write executor statistics as JSON to this file ('-' for stdout)")
-		listen   = flag.String("listen", "", "serve the Run API and live introspection on this address (/v1, /metrics, /runs, /timeline, /debug/pprof), e.g. :8080")
+		listen   = flag.String("listen", "", "serve the Run API and live introspection on this address (/v1, /metrics, /metrics.json, /debug/pprof/), e.g. :8080")
 		loadgen  = flag.Int("loadgen", 0, "benchmark the Run API with this many concurrent clients against an in-process daemon (0: off)")
 		loadDur  = flag.Duration("loadgen-duration", 3*time.Second, "measurement window of the -loadgen benchmark")
 		loadOut  = flag.String("loadgen-out", "BENCH_api.json", "file the -loadgen results are written to")
@@ -144,12 +144,10 @@ func benchMain() int {
 		opts.Apps = strings.Split(*apps, ",")
 	}
 
-	// -listen embeds the dufpd surface: the Run API daemon and the
-	// observability server share the invocation's executor and one mux,
-	// so figure campaigns and API submissions feed the same caches.
-	var srv *obshttp.Server
+	// -listen embeds the dufpd surface: the daemon shares the
+	// invocation's executor, so figure campaigns and API submissions
+	// feed the same caches.
 	if *listen != "" {
-		srv = obshttp.New(nil, executor)
 		daemon, derr := api.New(api.Config{Session: opts.Session, Executor: executor})
 		if derr != nil {
 			fmt.Fprintln(os.Stderr, "dufpbench:", derr)
@@ -157,11 +155,11 @@ func benchMain() int {
 		}
 		defer daemon.Close()
 		go func() {
-			if lerr := http.ListenAndServe(*listen, api.MountObs(daemon.Handler(), srv)); lerr != nil {
+			if lerr := http.ListenAndServe(*listen, daemon.FullHandler()); lerr != nil {
 				fmt.Fprintln(os.Stderr, "dufpbench: listen:", lerr)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "serving Run API and introspection on %s (/v1, /metrics, /runs, /timeline, /debug/pprof)\n", *listen)
+		fmt.Fprintf(os.Stderr, "serving Run API and introspection on %s (/v1, /metrics, /metrics.json, /debug/pprof/)\n", *listen)
 	}
 
 	err := func() error {
@@ -174,7 +172,7 @@ func benchMain() int {
 		if *html != "" {
 			return writeHTML(opts, *html)
 		}
-		return run(opts, *fig, *md, *traceCSV, srv)
+		return run(opts, *fig, *md, *traceCSV)
 	}()
 	if *stats != "" {
 		if serr := writeStats(executor, *stats); serr != nil && err == nil {
@@ -185,7 +183,7 @@ func benchMain() int {
 		fmt.Fprintln(os.Stderr, "dufpbench:", err)
 		return 1
 	}
-	if srv != nil {
+	if *listen != "" {
 		fmt.Fprintf(os.Stderr, "campaign done; still serving on %s (interrupt to exit)\n", *listen)
 		<-ctx.Done()
 	}
@@ -294,7 +292,7 @@ func writeHTML(opts experiment.Options, path string) error {
 	return nil
 }
 
-func run(opts experiment.Options, fig string, md bool, traceCSV string, srv *obshttp.Server) error {
+func run(opts experiment.Options, fig string, md bool, traceCSV string) error {
 	out := os.Stdout
 	render := func(t experiment.Table) error {
 		if md {
@@ -415,10 +413,6 @@ func run(opts experiment.Options, fig string, md bool, traceCSV string, srv *obs
 		if err := render(res.Table); err != nil {
 			return err
 		}
-		if srv != nil {
-			srv.AddTimeline("fig5-duf", dufp.BuildTimeline(res.DUF.Events, res.DUF.Series()))
-			srv.AddTimeline("fig5-dufp", dufp.BuildTimeline(res.DUFP.Events, res.DUFP.Series()))
-		}
 		if traceCSV != "" {
 			if err := os.MkdirAll(traceCSV, 0o755); err != nil {
 				return err
@@ -426,8 +420,8 @@ func run(opts experiment.Options, fig string, md bool, traceCSV string, srv *obs
 			// The CSVs stream straight out of the reservoirs: no second
 			// copy of the series is materialised.
 			for _, s := range []struct {
-				name  string
-				trace experiment.Fig5Trace
+				name string
+				res  dufp.RunResult
 			}{
 				{"fig5_duf.csv", res.DUF},
 				{"fig5_dufp.csv", res.DUFP},
@@ -436,7 +430,7 @@ func run(opts experiment.Options, fig string, md bool, traceCSV string, srv *obs
 				if err != nil {
 					return err
 				}
-				if err := trace.WriteCSVSeq(f, s.trace.Points.Points(0)); err != nil {
+				if err := trace.WriteCSVSeq(f, s.res.Trace.Points(0)); err != nil {
 					f.Close()
 					return err
 				}

@@ -10,8 +10,8 @@
 // disk cache and accepted campaigns are journaled, so a restarted
 // daemon resumes where it stopped: replayed runs whose results are on
 // disk complete without re-simulation, bit-identical to the originals.
-// The same listener also serves the observability surface (/metrics,
-// /runs, /timeline/, /debug/pprof/), and every dispatched run leaves a
+// The same handler also serves the observability surface (/metrics,
+// /metrics.json, /debug/pprof/), and every dispatched run leaves a
 // span trace in a bounded flight recorder, served as Perfetto-loadable
 // Chrome trace-event JSON from GET /v1/runs/{id}/trace. Dispatched runs
 // also stream their trace into a bounded per-run reservoir

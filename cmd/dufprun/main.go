@@ -213,11 +213,12 @@ func run(ctx context.Context, p params) error {
 			return err
 		}
 		defer f.Close()
-		if err := res.Timeline.WriteJSONL(f); err != nil {
+		tl := res.Timeline()
+		if err := tl.WriteJSONL(f); err != nil {
 			return err
 		}
 		fmt.Printf("timeline written to %s (%d entries, %d decisions)\n",
-			p.timeline, len(res.Timeline.Entries), len(res.Timeline.Decisions()))
+			p.timeline, len(tl.Entries), len(tl.Decisions()))
 	}
 
 	if p.spans != "" {

@@ -707,10 +707,17 @@ func (d *Daemon) RunStatus(id string) (RunStatus, bool) {
 		return s, true
 	}
 	d.mu.Unlock()
-	if run, ok := d.exe.DiskGetByID(id); ok {
-		return RunStatus{ID: id, State: StateDone, App: run.App, Governor: run.Governor, Run: &run}, true
+	return d.diskRunStatus(id)
+}
+
+// diskRunStatus answers for a run that a previous daemon completed: its
+// result is in the executor's disk cache, so it is done.
+func (d *Daemon) diskRunStatus(id string) (RunStatus, bool) {
+	run, ok := d.exe.DiskGetByID(id)
+	if !ok {
+		return RunStatus{}, false
 	}
-	return RunStatus{}, false
+	return RunStatus{ID: id, State: StateDone, App: run.App, Governor: run.Governor, Run: &run}, true
 }
 
 // Runs lists every tracked run, ordered by ID.
@@ -752,14 +759,23 @@ func (d *Daemon) Campaigns() []CampaignStatus {
 // SubscribeRun subscribes to a run's state changes. The channel
 // receives status snapshots and is closed once the run is terminal (a
 // terminal snapshot is sent first); cancel releases the subscription
-// early. ok is false for unknown runs.
+// early. A run a previous daemon completed gets its status from the disk
+// cache, as RunStatus does. ok is false for unknown runs.
 func (d *Daemon) SubscribeRun(id string) (ch <-chan RunStatus, cancel func(), ok bool) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	j, found := d.jobs[id]
 	if !found {
-		return nil, nil, false
+		d.mu.Unlock()
+		status, ok := d.diskRunStatus(id)
+		if !ok {
+			return nil, nil, false
+		}
+		c := make(chan RunStatus, 1)
+		c <- status
+		close(c)
+		return c, func() {}, true
 	}
+	defer d.mu.Unlock()
 	c := make(chan RunStatus, 16)
 	c <- d.runStatusLocked(j)
 	if terminal(j.state) {

@@ -250,7 +250,7 @@ func TestDaemonSingleRunOverHTTP(t *testing.T) {
 	}
 
 	// The shared listener also serves the observability surface.
-	for _, path := range []string{"/metrics", "/runs", "/v1/healthz"} {
+	for _, path := range []string{"/metrics", "/metrics.json", "/v1/healthz"} {
 		resp, err := http.Get(td.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -58,7 +58,7 @@ func TestRunSamplesPagination(t *testing.T) {
 		t.Fatalf("run state %q: %s", status.State, status.Error)
 	}
 
-	ts := httptest.NewServer(d.Handler())
+	ts := httptest.NewServer(d.FullHandler())
 	defer ts.Close()
 	base := ts.URL + "/v1/runs/" + status.ID + "/samples"
 
@@ -138,7 +138,7 @@ func TestRunStatusIncludeTrace(t *testing.T) {
 	defer d.Close()
 	status := runTracedJob(t, d)
 
-	ts := httptest.NewServer(d.Handler())
+	ts := httptest.NewServer(d.FullHandler())
 	defer ts.Close()
 
 	// The default status body stays artifact-free.
@@ -205,7 +205,7 @@ func TestSamplesDisabled(t *testing.T) {
 	defer d.Close()
 	status := runTracedJob(t, d)
 
-	ts := httptest.NewServer(d.Handler())
+	ts := httptest.NewServer(d.FullHandler())
 	defer ts.Close()
 	if code := getJSON(t, ts.URL+"/v1/runs/"+status.ID+"/samples", nil); code != http.StatusNotFound {
 		t.Errorf("disabled store: HTTP %d, want 404", code)
@@ -257,7 +257,7 @@ func TestSamplesEncodeFailure(t *testing.T) {
 			for i, w := range []float64{80, bad, 81} {
 				r.Consume(0, sim.TracePoint{Time: time.Duration(i) * 10 * time.Millisecond, PkgPower: units.Power(w)})
 			}
-			h := d.Handler()
+			h := d.FullHandler()
 			for _, tc := range []struct {
 				query string
 				code  int
@@ -349,7 +349,7 @@ func FuzzSamplesQuery(f *testing.F) {
 	} {
 		f.Add(q)
 	}
-	h := d.Handler()
+	h := d.FullHandler()
 
 	f.Fuzz(func(t *testing.T, q string) {
 		req := httptest.NewRequest(http.MethodGet, "/v1/runs/"+id+"/samples", nil)

@@ -1,42 +1,29 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/pprof"
 	"slices"
 	"strconv"
 	"time"
 
 	"dufp"
-	"dufp/internal/obs/obshttp"
 )
 
-// FullHandler returns the daemon's complete single-listener surface:
-// the /v1 Run API plus the observability endpoints (/metrics,
-// /metrics.json, /runs, /timeline/, /debug/pprof/) served by obshttp
-// over the same registry and executor. It is what cmd/dufpd listens on,
-// and what dufpbench -listen mounts — -listen is a thin alias for an
-// embedded dufpd.
-func (d *Daemon) FullHandler() http.Handler {
-	return MountObs(d.Handler(), obshttp.New(d.reg, d.exe))
-}
-
-// MountObs composes a /v1 API handler with an observability server on
-// one mux — one listener, each handler registered exactly once.
-func MountObs(api http.Handler, obsSrv *obshttp.Server) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/v1/", api)
-	mux.Handle("/", obsSrv.Handler())
-	return mux
-}
-
-// Handler returns the daemon's /v1 HTTP surface. Routes are
+// FullHandler returns the daemon's one HTTP surface: the /v1 Run API
+// and, over the daemon's registry, /metrics (Prometheus text),
+// /metrics.json and /debug/pprof/. It is what cmd/dufpd listens on and
+// what dufpbench -listen and -loadgen serve. The /v1 routes are
 // method-scoped (Go 1.22 patterns) and instrumented: every request
 // increments api_http_requests_total{route,code} and observes
-// api_http_request_seconds{route}.
-func (d *Daemon) Handler() http.Handler {
+// api_http_request_seconds{route}. Any other path answers 404 with a
+// JSON error body, like every /v1 error.
+func (d *Daemon) FullHandler() http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern, label string, h http.HandlerFunc) {
 		mux.Handle(pattern, d.instrument(label, h))
@@ -52,6 +39,16 @@ func (d *Daemon) Handler() http.Handler {
 	route("GET /v1/campaigns", "campaigns_list", d.handleListCampaigns)
 	route("GET /v1/campaigns/{id}", "campaigns_get", d.handleGetCampaign)
 	route("GET /v1/campaigns/{id}/events", "campaigns_events", d.handleCampaignEvents)
+	mux.HandleFunc("/metrics", d.handleMetrics)
+	mux.HandleFunc("/metrics.json", d.handleMetricsJSON)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such route"})
+	})
 	return mux
 }
 
@@ -105,17 +102,36 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		code = http.StatusInternalServerError
 		b, _ = json.Marshal(errorBody{Error: fmt.Sprintf("encoding response: %v", err)})
 	}
-	writeBody(w, code, append(b, '\n'))
+	writeBody(w, code, "application/json", append(b, '\n'))
 }
 
-// writeBody sends a whole JSON body with its Content-Length, so that a
+// writeBody sends a whole body with its Content-Length, so that a
 // client can read it into one buffer of that size.
-func writeBody(w http.ResponseWriter, code int, body []byte) {
+func writeBody(w http.ResponseWriter, code int, contentType string, body []byte) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
+	h.Set("Content-Type", contentType)
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
 	w.Write(body)
+}
+
+// writeRendered sends what render writes as one whole body. A render
+// that fails answers 500 with its error instead of a partial body.
+func writeRendered(w http.ResponseWriter, contentType string, render func(io.Writer) error) {
+	var buf bytes.Buffer
+	if err := render(&buf); err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: fmt.Sprintf("encoding response: %v", err)})
+		return
+	}
+	writeBody(w, http.StatusOK, contentType, buf.Bytes())
+}
+
+func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	writeRendered(w, "text/plain; version=0.0.4; charset=utf-8", d.reg.WritePrometheus)
+}
+
+func (d *Daemon) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
+	writeRendered(w, "application/json", d.reg.WriteJSON)
 }
 
 // writeError maps a submission error to its status code.
@@ -215,7 +231,7 @@ func (d *Daemon) handleRunSamples(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: fmt.Sprintf("encoding samples: %v", err)})
 		return
 	}
-	writeBody(w, http.StatusOK, body)
+	writeBody(w, http.StatusOK, "application/json", body)
 }
 
 // streamSamples writes the NDJSON stream that starts with page, one
@@ -281,9 +297,7 @@ func (d *Daemon) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, tr.Summary())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	tr.WriteTraceEvents(w)
+	writeRendered(w, "application/json", tr.WriteTraceEvents)
 }
 
 func (d *Daemon) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {

@@ -61,7 +61,7 @@ func TestDaemonSpanTreeAndTraceEndpoint(t *testing.T) {
 	}
 	defer d.Close()
 	defer cfg.Executor.Close()
-	ts := httptest.NewServer(d.Handler())
+	ts := httptest.NewServer(d.FullHandler())
 	defer ts.Close()
 
 	spec := dufp.RunSpec{App: mustApp(t, "EP"), Governor: dufp.DUFP(dufp.DefaultControlConfig(0.10))}
@@ -192,7 +192,7 @@ func TestSpanRecordingDisabled(t *testing.T) {
 		t.Fatalf("final = %+v", final)
 	}
 
-	ts := httptest.NewServer(d.Handler())
+	ts := httptest.NewServer(d.FullHandler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/v1/runs/" + status.ID + "/trace")
 	if err != nil {
@@ -232,9 +232,6 @@ func TestSlowRunLogAndCounter(t *testing.T) {
 	}
 	waitRun(t, d, status.ID)
 
-	if n := d.Spans().SlowCount(); n < 1 {
-		t.Errorf("SlowCount = %d, want >= 1", n)
-	}
 	if v := d.mSlowRuns.Value(); v < 1 {
 		t.Errorf("api_slow_runs_total = %v, want >= 1", v)
 	}
@@ -287,7 +284,7 @@ func TestSSESlowConsumerCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	ts := httptest.NewServer(d.Handler())
+	ts := httptest.NewServer(d.FullHandler())
 	defer ts.Close()
 
 	spec := CampaignSpec{

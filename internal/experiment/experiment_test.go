@@ -111,14 +111,14 @@ func TestFig5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dufS, dufpS := res.DUF.Series(), res.DUFP.Series()
+	dufS, dufpS := res.DUF.Trace.Snapshot(0), res.DUFP.Trace.Snapshot(0)
 	if len(dufS) == 0 || len(dufpS) == 0 {
 		t.Fatal("empty traces")
 	}
 	// The paper protocol emits well under the reservoir capacity, so the
 	// retained series is the full trace.
-	if int64(len(dufS)) != res.DUF.Points.Seen(0) {
-		t.Fatalf("reservoir decimated: kept %d of %d", len(dufS), res.DUF.Points.Seen(0))
+	if int64(len(dufS)) != res.DUF.Trace.Seen(0) {
+		t.Fatalf("reservoir decimated: kept %d of %d", len(dufS), res.DUF.Trace.Seen(0))
 	}
 	if len(res.Table.Rows) < 10 {
 		t.Fatalf("Fig 5 table has %d rows", len(res.Table.Rows))

@@ -6,7 +6,6 @@ import (
 
 	"dufp"
 	"dufp/internal/metrics"
-	"dufp/internal/sim"
 	"dufp/internal/trace"
 	"dufp/internal/units"
 )
@@ -277,22 +276,12 @@ func gridTable(g *Grid, id, title string, cell func(dufp.Comparison) string, not
 	return t, nil
 }
 
-// Fig5Trace is one governor's record behind Fig 5: the run's lossless
-// trace and the controller's decision log for timeline rendering.
-type Fig5Trace struct {
-	Points *trace.Reservoir
-	Events []dufp.ControlEvent
-}
-
-// Series materialises the socket-0 view of the retained samples.
-func (f Fig5Trace) Series() []sim.TracePoint { return f.Points.Snapshot(0) }
-
-// Fig5Result carries the frequency traces behind the Fig 5 table, plus
-// the controllers' decision logs for timeline rendering.
+// Fig5Result carries the Fig 5 table and the two recorded runs behind
+// it: each run's lossless trace, decision log and timeline view.
 type Fig5Result struct {
 	Table Table
-	DUF   Fig5Trace
-	DUFP  Fig5Trace
+	DUF   dufp.RunResult
+	DUFP  dufp.RunResult
 }
 
 // Fig5 reproduces the CPU-frequency comparison: CG at 10 % tolerated
@@ -312,11 +301,7 @@ func Fig5(opts Options) (Fig5Result, error) {
 		return Fig5Result{}, err
 	}
 
-	res := Fig5Result{
-		DUF:  Fig5Trace{Points: dufRes.Trace, Events: dufRes.Events},
-		DUFP: Fig5Trace{Points: dufpRes.Trace, Events: dufpRes.Events},
-	}
-	dufS, dufpS := res.DUF.Series(), res.DUFP.Series()
+	dufS, dufpS := dufRes.Trace.Snapshot(0), dufpRes.Trace.Snapshot(0)
 
 	// The exact averages come from the runs' streamed summaries.
 	t := Table{
@@ -343,6 +328,5 @@ func Fig5(opts Options) (Fig5Result, error) {
 			fmt.Sprintf("%.0f", dufpDown[i].CapPL1.Watts()),
 		})
 	}
-	res.Table = t
-	return res, nil
+	return Fig5Result{Table: t, DUF: dufRes, DUFP: dufpRes}, nil
 }

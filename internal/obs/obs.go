@@ -6,8 +6,9 @@
 // recording a sample is a single atomic operation with no allocation and
 // no lock — instrumented runs stay bit-identical to uninstrumented ones
 // because nothing here feeds back into the computation. The executor, the
-// simulator loop and the controllers all publish here, and the obshttp
-// sub-package serves the result live.
+// simulator loop and the controllers all publish here, and dufpd's one
+// handler (api.Daemon.FullHandler) serves the result live at /metrics and
+// /metrics.json.
 package obs
 
 import (

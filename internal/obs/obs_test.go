@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -282,6 +283,54 @@ func TestConcurrentRecording(t *testing.T) {
 	if v.With("w").Value() != workers*per {
 		t.Fatalf("labelled counter lost updates: %v", v.With("w").Value())
 	}
+}
+
+// TestExpositionConcurrentWithWrites renders both expositions while
+// writers hammer a histogram, including its exemplar slots, so the race
+// detector (make tier1-obs) can see any snapshot torn against
+// concurrent writers.
+func TestExpositionConcurrentWithWrites(t *testing.T) {
+	r := NewRegistry()
+	hist := r.Histogram("conc_seconds", "Concurrency test histogram.",
+		ExpBuckets(1e-4, 2, 8), "route").With("r")
+	ctr := r.Counter("conc_total", "Concurrency test counter.").With()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				hist.ObserveExemplar(float64(i%7)*1e-3, fmt.Sprintf("run-%d-%d", w, i))
+				ctr.Inc()
+			}
+		}(w)
+	}
+	for i := 0; i < 25; i++ {
+		var buf bytes.Buffer
+		if err := r.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var fams []FamilySnapshot
+		if err := json.Unmarshal(buf.Bytes(), &fams); err != nil {
+			t.Fatalf("torn JSON snapshot: %v", err)
+		}
+		buf.Reset()
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), "conc_total") {
+			t.Fatalf("text exposition under write load lacks conc_total:\n%s", buf.String())
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestKindString(t *testing.T) {

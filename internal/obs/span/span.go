@@ -453,15 +453,14 @@ type Recorder struct {
 
 	traces map[string]*Trace
 	order  []string
-	slowN  int64
 }
 
 // RecorderOption configures NewRecorder.
 type RecorderOption func(*Recorder)
 
 // WithSlowThreshold enables the slow-run log: any observed trace whose
-// total exceeds d is rendered through logf (and counted). d <= 0 or a
-// nil logf disables it.
+// total exceeds d is rendered through logf. d <= 0 or a nil logf
+// disables it.
 func WithSlowThreshold(d time.Duration, logf func(format string, args ...any)) RecorderOption {
 	return func(r *Recorder) {
 		r.slow, r.logf = d, logf
@@ -503,9 +502,6 @@ func (r *Recorder) Observe(t *Trace) {
 	}
 	r.traces[id] = t
 	slow := r.slow > 0 && r.logf != nil && t.Total() > r.slow
-	if slow {
-		r.slowN++
-	}
 	logf := r.logf
 	r.mu.Unlock()
 	if slow {
@@ -524,16 +520,6 @@ func (r *Recorder) Get(id string) (*Trace, bool) {
 	return t, ok
 }
 
-// IDs lists the retained run IDs, oldest first.
-func (r *Recorder) IDs() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
-}
-
 // Each calls fn for every retained trace, oldest first.
 func (r *Recorder) Each(fn func(*Trace)) {
 	if r == nil {
@@ -548,25 +534,4 @@ func (r *Recorder) Each(fn func(*Trace)) {
 	for _, t := range traces {
 		fn(t)
 	}
-}
-
-// Len returns the number of retained traces.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.traces)
-}
-
-// SlowCount returns how many observed traces exceeded the slow
-// threshold.
-func (r *Recorder) SlowCount() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.slowN
 }

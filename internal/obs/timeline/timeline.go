@@ -2,13 +2,12 @@
 // stream that joins controller decisions (control.Event) with the nearest
 // simulator trace sample (sim.TracePoint), so one artifact answers what
 // the governor saw, what it decided, and what happened to power. It is
-// the data behind every paper figure, rendered as JSONL or CSV and served
-// live by obshttp.
+// the join behind RunResult.Timeline, a view over a recorded run, and
+// renders as JSONL (dufprun -timeline).
 package timeline
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"time"
@@ -154,25 +153,6 @@ func (t Timeline) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, e := range t.Entries {
 		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// csvHeader matches the Entry fields, one column per JSON key.
-const csvHeader = "time_s,kind,decision,target_cap_w,target_uncore_ghz,trace_time_s,core_ghz,uncore_ghz,pkg_w,dram_w,cap_pl1_w,cap_pl2_w,bw_gbs,gflops"
-
-// WriteCSV renders the stream as CSV with a header row.
-func (t Timeline) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, csvHeader); err != nil {
-		return err
-	}
-	for _, e := range t.Entries {
-		if _, err := fmt.Fprintf(w, "%.3f,%s,%s,%.1f,%.2f,%.3f,%.2f,%.2f,%.2f,%.2f,%.1f,%.1f,%.2f,%.2f\n",
-			e.TimeS, e.Kind, e.Decision, e.TargetCapW, e.TargetUncoreGHz,
-			e.TraceTimeS, e.CoreGHz, e.UncoreGHz, e.PkgW, e.DramW,
-			e.CapPL1W, e.CapPL2W, e.BwGBs, e.Gflops); err != nil {
 			return err
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 
@@ -129,26 +128,5 @@ func TestWriteJSONLRoundTrips(t *testing.T) {
 	}
 	if lines != len(tl.Entries) {
 		t.Fatalf("JSONL lines = %d, want %d", lines, len(tl.Entries))
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	tl := Build([]control.Event{ev(time.Second, control.EventCapRaise)}, []sim.TracePoint{pt(0, 100)})
-	var buf bytes.Buffer
-	if err := tl.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1+len(tl.Entries) {
-		t.Fatalf("CSV lines = %d, want %d", len(lines), 1+len(tl.Entries))
-	}
-	if lines[0] != csvHeader {
-		t.Fatalf("header = %q", lines[0])
-	}
-	cols := strings.Split(lines[0], ",")
-	for i, line := range lines[1:] {
-		if got := len(strings.Split(line, ",")); got != len(cols) {
-			t.Fatalf("row %d has %d columns, want %d: %q", i, got, len(cols), line)
-		}
 	}
 }

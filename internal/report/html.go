@@ -164,8 +164,8 @@ func Campaign(opts experiment.Options) (Document, error) {
 	}
 	svg, err := Lines("Fig 5 — core frequency, CG @ 10 % tolerated slowdown", "time (s)", "GHz",
 		[]LineSeries{
-			traceSeries("DUF", fig5.DUF.Points.Points(0), fig5.DUF.Points.Len(0)),
-			traceSeries("DUFP", fig5.DUFP.Points.Points(0), fig5.DUFP.Points.Len(0)),
+			traceSeries("DUF", fig5.DUF.Trace.Points(0), fig5.DUF.Trace.Len(0)),
+			traceSeries("DUFP", fig5.DUFP.Trace.Points(0), fig5.DUFP.Trace.Len(0)),
 		})
 	if err != nil {
 		return Document{}, err

@@ -128,8 +128,6 @@ type RunResult struct {
 	// Events is socket 0's decision log (empty for controllers that do
 	// not record one).
 	Events []ControlEvent
-	// Timeline joins Events with socket 0's trace samples.
-	Timeline Timeline
 	// FaultStats counts the faults the session's plan injected.
 	FaultStats FaultStats
 	// GuardStats sums the sample-guard outcomes across sockets.
@@ -182,11 +180,20 @@ func (s Session) Run(ctx context.Context, spec RunSpec, opts ...RunOption) (RunR
 	if o.record {
 		sum := tr.Summary()
 		res.Trace, res.Events = rec.samples, rec.events
-		res.Timeline = timeline.Build(rec.events, rec.samples.Snapshot(0))
 		res.FaultStats, res.GuardStats = rec.faults, rec.guard
 		res.SpanTrace, res.Spans = tr, &sum
 	}
 	return res, nil
+}
+
+// Timeline is the run's audit trail, a view over the record: Events
+// joined with socket 0 of Trace, time-ordered. It is built on each call;
+// a result without a Trace gives an empty view.
+func (r RunResult) Timeline() Timeline {
+	if r.Trace == nil {
+		return Timeline{}
+	}
+	return timeline.Build(r.Events, r.Trace.Snapshot(0))
 }
 
 // guardStatser is implemented by hardened controller instances.

@@ -10,7 +10,7 @@ import (
 // scheduling counters and run-latency histogram, simulator tick and RAPL
 // clamp counts, controller decision counters and per-phase time/energy
 // attribution — publishes to Metrics(); a recorded run (WithRecord)
-// carries its audit trail as RunResult.Timeline.
+// reads its audit trail through RunResult.Timeline().
 
 type (
 	// MetricsRegistry is a lock-free registry of counters, gauges and
@@ -33,12 +33,6 @@ func Metrics() *MetricsRegistry { return obs.Default() }
 // NewMetricsRegistry returns an isolated registry, for tests or embedders
 // that must not share the process-wide one.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// BuildTimeline joins a decision log with a trace series into the merged
-// audit stream, the operation behind RunResult.Timeline.
-func BuildTimeline(events []ControlEvent, points []TracePoint) Timeline {
-	return timeline.Build(events, points)
-}
 
 // ExecRegistry directs an executor's telemetry at an isolated registry
 // instead of Metrics().

@@ -30,7 +30,7 @@ func TestInstrumentedRunBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, tl := instrRes.Run, instrRes.Timeline
+	got, tl := instrRes.Run, instrRes.Timeline()
 	if got != ref {
 		t.Fatalf("instrumented run diverged from plain run:\nplain: %+v\ninstr: %+v", ref, got)
 	}
@@ -52,7 +52,7 @@ func TestTimelineCorrelatesDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := res.Timeline
+	tl := res.Timeline()
 	decisions := tl.Decisions()
 	if len(decisions) == 0 {
 		t.Fatal("DUFP timeline has no decisions")

@@ -493,9 +493,11 @@ type runResultJSON struct {
 	TraceSummary *traceSummaryJSON  `json:"trace_summary,omitempty"`
 	Events       []controlEventJSON `json:"events,omitempty"`
 	Trace        [][]tracePointJSON `json:"trace,omitempty"`
-	Timeline     *Timeline          `json:"timeline,omitempty"`
-	FaultStats   *faultStatsJSON    `json:"fault_stats,omitempty"`
-	GuardStats   *guardStatsJSON    `json:"guard_stats,omitempty"`
+	// Timeline is accepted from older encodings and ignored: the
+	// timeline is a view rebuilt from Events and Trace.
+	Timeline   json.RawMessage `json:"timeline,omitempty"`
+	FaultStats *faultStatsJSON `json:"fault_stats,omitempty"`
+	GuardStats *guardStatsJSON `json:"guard_stats,omitempty"`
 	// Spans is the per-stage wall-clock decomposition of a recorded run
 	// (WithRecord). The full span tree stays process-local; only
 	// this summary crosses the wire. span.Summary is already in wire
@@ -525,10 +527,6 @@ func (r RunResult) MarshalJSON() ([]byte, error) {
 			}
 			out.Trace = append(out.Trace, series)
 		}
-	}
-	if len(r.Timeline.Entries) > 0 {
-		tl := r.Timeline
-		out.Timeline = &tl
 	}
 	if r.FaultStats != (FaultStats{}) {
 		out.FaultStats = &faultStatsJSON{
@@ -592,9 +590,6 @@ func (r *RunResult) UnmarshalJSON(b []byte) error {
 			}
 		}
 		out.Trace = rsv
-	}
-	if in.Timeline != nil {
-		out.Timeline = *in.Timeline
 	}
 	if in.FaultStats != nil {
 		out.FaultStats = FaultStats{

@@ -1,10 +1,12 @@
 package dufp_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -155,8 +157,8 @@ func TestRunResultRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if len(back.Timeline.Entries) != len(res.Timeline.Entries) {
-		t.Errorf("timeline %d entries -> %d", len(res.Timeline.Entries), len(back.Timeline.Entries))
+	if !reflect.DeepEqual(back.Timeline(), res.Timeline()) {
+		t.Error("timeline view changed over the wire")
 	}
 
 	// A decoded trace keeps its socket count: a last series without
@@ -184,11 +186,11 @@ func TestRunResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecordWireGolden pins the wire bytes of one recorded run, EP under
-// DUFP at 10 %, with the wall-clock span fields cleared: the lossless
-// trace, its summary, socket 0's events and the timeline. Fault and
-// guard counters are zero, so the wire omits them.
-func TestRecordWireGolden(t *testing.T) {
+// recordEP records EP under DUFP at 10 %, the run the record pins
+// below share, with the wall-clock span fields cleared. Fault and guard
+// counters are zero, so the wire omits them.
+func recordEP(t *testing.T) dufp.RunResult {
+	t.Helper()
 	session := dufp.NewSession(dufp.WithExecutor(dufp.NewExecutor()))
 	app, err := dufp.AppNamed("EP")
 	if err != nil {
@@ -200,13 +202,62 @@ func TestRecordWireGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.Spans, res.SpanTrace = nil, nil
+	return res
+}
+
+// TestRecordWireGolden pins the wire bytes of one recorded run: the
+// lossless trace, its summary and socket 0's events.
+func TestRecordWireGolden(t *testing.T) {
+	b, err := json.Marshal(recordEP(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const golden = "cc0d6f90c9b1a7e50d23ff9ff0789434c68522c2d868f0af4225f5c3c863235b"
+	if sum := fmt.Sprintf("%x", sha256.Sum256(b)); sum != golden {
+		t.Errorf("recorded result: sha256 %s, want %s (%d bytes)", sum, golden, len(b))
+	}
+}
+
+// TestRecordTimelineGolden pins the timeline view of the same run, as
+// JSONL: decisions joined with socket 0's samples.
+func TestRecordTimelineGolden(t *testing.T) {
+	var b bytes.Buffer
+	if err := recordEP(t).Timeline().WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	const golden = "9f0872042d07e8dd1b34c25622e92a1b3701a5b734741d7bee3ffde253019ff8"
+	if sum := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); sum != golden {
+		t.Errorf("timeline: sha256 %s, want %s (%d bytes)", sum, golden, b.Len())
+	}
+}
+
+// TestRecordDecodesOlderTimeline decodes a result encoded when the wire
+// still carried the timeline beside the events and trace it joins. The
+// key is accepted and ignored, and the view rebuilt from the decoded
+// record equals the original.
+func TestRecordDecodesOlderTimeline(t *testing.T) {
+	res := recordEP(t)
 	b, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const golden = "d7f75a9895f98c461cb7c64c2c1849bbc14150c0a92ff03b86676f30f35e0a4f"
-	if sum := fmt.Sprintf("%x", sha256.Sum256(b)); sum != golden {
-		t.Errorf("recorded result: sha256 %s, want %s (%d bytes)", sum, golden, len(b))
+	tl, err := json.Marshal(res.Timeline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Older encoders wrote the timeline after the trace, the last field
+	// of this result.
+	older := append(append(append(b[:len(b)-1:len(b)-1], `,"timeline":`...), tl...), '}')
+	const olderGolden = "d7f75a9895f98c461cb7c64c2c1849bbc14150c0a92ff03b86676f30f35e0a4f"
+	if sum := fmt.Sprintf("%x", sha256.Sum256(older)); sum != olderGolden {
+		t.Fatalf("spliced bytes: sha256 %s, want the older encoding's %s", sum, olderGolden)
+	}
+	var back dufp.RunResult
+	if err := json.Unmarshal(older, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Timeline(), res.Timeline()) {
+		t.Error("timeline view of the older encoding differs from the original")
 	}
 }
 
