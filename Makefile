@@ -59,16 +59,19 @@ vet:
 # oracle, and dufpd's samples-page codec against encoding/json. The
 # fourth feeds arbitrary bytes to the disk cache's DUFPSEG3 segment
 # reader, the fifth arbitrary query strings to dufpd's
-# /v1/runs/{id}/samples. Their seed inputs also run under `make test`.
-# The segment scan's and the codec's inputs are whole segments and
-# pages, hundreds of bytes, and minimizing each new one for the default
-# 60 s would use up their 15 s, so their minimization stops after 1 s.
+# /v1/runs/{id}/samples, and the sixth arbitrary bytes to wirebin's run
+# decoder, which the segment reader reaches only through CRC-valid
+# frames. Their seed inputs also run under `make test`. The segment
+# scan's, the codec's and the run decoder's inputs are whole segments,
+# pages and records, and minimizing each new one for the default 60 s
+# would use up their 15 s, so their minimization stops after 1 s.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzJitterRNG$$' -fuzztime 15s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzLimiterKernel$$' -fuzztime 15s ./internal/rapl/
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentScan$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/exec/diskcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzSamplesQuery$$' -fuzztime 15s ./internal/api/
 	$(GO) test -run '^$$' -fuzz '^FuzzSamplesCodec$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/api/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadRun$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/wirebin/
 
 # cover enforces a floor on the telemetry layer's test coverage
 # (internal/obs: the registry, the span recorder and the timeline join):

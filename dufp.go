@@ -165,3 +165,22 @@ func EventsOf(inst control.Instance) []ControlEvent {
 	}
 	return nil
 }
+
+// logDropper is satisfied by controllers that can stop keeping their
+// decision log (DUF and DUFP can).
+type logDropper interface {
+	DropLog()
+}
+
+// dropLog stops inst, or every member of a chain, keeping a decision
+// log. Session runs call it when nothing will read the log.
+func dropLog(inst control.Instance) {
+	switch g := inst.(type) {
+	case logDropper:
+		g.DropLog()
+	case control.Chain:
+		for _, member := range g {
+			dropLog(member)
+		}
+	}
+}

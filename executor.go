@@ -147,6 +147,35 @@ func appFingerprint(a App) string {
 	return a.Name + "#" + hash64(fmt.Sprintf("%+v", a))
 }
 
+// appRenders memoises appFingerprint within one batch. A render is
+// reused only for the same application value: equal name, class and
+// description over the same phase program, the Loops slice's backing
+// array and length. Never by name alone, since synthetic apps reuse
+// names; and never across batches, since a caller may edit Loops in
+// place between them.
+type appRenders map[appIdentity]string
+
+// appIdentity is what makes two App values one application in a batch.
+type appIdentity struct {
+	name, class, description string
+	loops                    *Loop
+	n                        int
+}
+
+// of returns appFingerprint(a), rendering it on a's first request.
+func (r appRenders) of(a App) string {
+	id := appIdentity{name: a.Name, class: a.Class, description: a.Description, n: len(a.Loops)}
+	if id.n > 0 {
+		id.loops = &a.Loops[0]
+	}
+	fp, ok := r[id]
+	if !ok {
+		fp = appFingerprint(a)
+		r[id] = fp
+	}
+	return fp
+}
+
 // fingerprint content-addresses the session configuration. The executor
 // handle is excluded: two sessions with equal configuration are the same
 // computation wherever their runs are scheduled.
@@ -157,13 +186,15 @@ func (s Session) fingerprint() string {
 
 // runKey is the one addressing path of every run this package submits
 // or names: the content-addressed executor key of run idx of (app, gov)
-// under s. sessionFP must be s.fingerprint(). Rendering fingerprints is
-// the expensive part of addressing, so a batch renders sessionFP once
-// for all its keys, builds one key per configuration and copies it
-// across the configuration's run indices, sharing its payload.
-func (s Session) runKey(sessionFP string, app App, gov Governor, idx int) exec.Key {
+// under s. sessionFP must be s.fingerprint() and appFP
+// appFingerprint(app). Rendering fingerprints is the expensive part of
+// addressing, so a batch renders sessionFP once and each distinct
+// application once (appRenders) for all its keys, builds one key per
+// configuration and copies it across the configuration's run indices,
+// sharing its payload.
+func (s Session) runKey(sessionFP, appFP string, app App, gov Governor, idx int) exec.Key {
 	return exec.Key{
-		App:      appFingerprint(app),
+		App:      appFP,
 		Governor: gov.ID(),
 		Session:  sessionFP,
 		Idx:      idx,
@@ -173,7 +204,7 @@ func (s Session) runKey(sessionFP string, app App, gov Governor, idx int) exec.K
 
 // specKey is runKey for one RunSpec.
 func (s Session) specKey(spec RunSpec) exec.Key {
-	return s.runKey(s.fingerprint(), spec.App, spec.Governor, spec.Idx)
+	return s.runKey(s.fingerprint(), appFingerprint(spec.App), spec.App, spec.Governor, spec.Idx)
 }
 
 // RunID returns the stable identifier of the run spec under this

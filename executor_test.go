@@ -478,3 +478,72 @@ func TestPooledMachineRunsBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// startedIDs returns an executor that records the run ID of every
+// computation it starts, and the recorded IDs so far.
+func startedIDs() (*dufp.Executor, func() []string) {
+	var mu sync.Mutex
+	var ids []string
+	exe := dufp.NewExecutor(dufp.ExecObserver(func(ev dufp.ExecutorEvent) {
+		if ev.Kind == dufp.ExecStarted {
+			mu.Lock()
+			ids = append(ids, exec.RunID(ev.Key.ID()))
+			mu.Unlock()
+		}
+	}))
+	return exe, func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(ids)
+	}
+}
+
+// TestSummarizeAllAddressesAppsByValue pins that a batch reuses an
+// application's rendered address only for the same value: two requests
+// of one batch whose apps share a name but differ in one phase get
+// different keys, each the key Session.RunID names.
+func TestSummarizeAllAddressesAppsByValue(t *testing.T) {
+	exe, started := startedIDs()
+	s := dufp.NewSession().OnExecutor(exe)
+	a, b := fastApp(t), fastApp(t)
+	b.Loops[0].Body[0].FlopFrac *= 1.25
+	reqs := []dufp.SummaryRequest{{App: a, Governor: dufp.Baseline()}, {App: b, Governor: dufp.Baseline()}}
+	for _, o := range s.SummarizeAll(context.Background(), reqs, 1) {
+		if o.Err != nil {
+			t.Fatal(o.Err)
+		}
+	}
+	idA := s.RunID(dufp.RunSpec{App: a, Governor: dufp.Baseline()})
+	idB := s.RunID(dufp.RunSpec{App: b, Governor: dufp.Baseline()})
+	got := started()
+	slices.Sort(got)
+	want := []string{idA, idB}
+	slices.Sort(want)
+	if idA == idB || !slices.Equal(got, want) {
+		t.Errorf("started %v, want the two distinct IDs %v", got, want)
+	}
+}
+
+// TestSummarizeAllSeesInPlaceEdit pins that no render outlives its
+// batch: an app whose phase program is edited in place between two
+// batches, same Loops slice and length, gets its new ID in the second.
+func TestSummarizeAllSeesInPlaceEdit(t *testing.T) {
+	exe, started := startedIDs()
+	s := dufp.NewSession().OnExecutor(exe)
+	app := fastApp(t)
+	reqs := []dufp.SummaryRequest{{App: app, Governor: dufp.Baseline()}}
+	spec := dufp.RunSpec{App: app, Governor: dufp.Baseline()}
+	before := s.RunID(spec)
+	for edit := 0; edit < 2; edit++ {
+		if edit == 1 {
+			app.Loops[0].Body[0].FlopFrac *= 1.25
+		}
+		if o := s.SummarizeAll(context.Background(), reqs, 1)[0]; o.Err != nil {
+			t.Fatal(o.Err)
+		}
+	}
+	after := s.RunID(spec)
+	if got := started(); before == after || !slices.Equal(got, []string{before, after}) {
+		t.Errorf("started %v, want %s then the edited app's %s", got, before, after)
+	}
+}

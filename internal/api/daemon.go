@@ -250,9 +250,6 @@ func New(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// Executor returns the run scheduler behind the daemon.
-func (d *Daemon) Executor() *dufp.Executor { return d.exe }
-
 // Workers returns the daemon's dispatch width: how many goroutines pull
 // queued jobs toward the executor concurrently.
 func (d *Daemon) Workers() int { return d.nworkers }
@@ -303,9 +300,6 @@ func (d *Daemon) runResultWithTrace(id string) (*dufp.RunResult, bool) {
 	d.mu.Unlock()
 	return res, true
 }
-
-// Registry returns the metrics registry the daemon publishes to.
-func (d *Daemon) Registry() *obs.Registry { return d.reg }
 
 // openJournal replays campaigns.jsonl and reopens it for appending.
 func (d *Daemon) openJournal() error {

@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -38,7 +39,8 @@ func waitCampaign(t *testing.T, d *Daemon, id string) {
 // every route with a known ID and an unknown one, every input route
 // with a malformed body or query, and the paths that are not routes.
 // Each row asserts the status code and Content-Type; a 4xx carries a
-// JSON error body, and a whole body carries its Content-Length.
+// JSON error body, a whole body carries its Content-Length, and an event
+// stream sends exactly one terminal status, done, right before its end.
 //
 // Three kinds of run ID are known: one this daemon dispatched (trace
 // and samples retained), one a previous daemon completed on the same
@@ -183,14 +185,47 @@ func TestFullHandlerRoutes(t *testing.T) {
 			switch {
 			case tt.stream && cl != "":
 				t.Errorf("stream carries Content-Length %s", cl)
-			case tt.stream && tt.ctype == typeSSE && (!strings.Contains(string(body), `"state":"done"`) ||
-				!strings.HasSuffix(string(body), "event: end\ndata: {}\n\n")):
-				t.Errorf("event stream does not end on a done status: %.300s", body)
+			case tt.stream && tt.ctype == typeSSE:
+				if err := endsOnOneDone(t, string(body)); err != nil {
+					t.Errorf("event stream %v: %.300s", err, body)
+				}
 			case !tt.stream && cl != strconv.Itoa(len(body)):
 				t.Errorf("Content-Length %q, body %d bytes", cl, len(body))
 			}
 		})
 	}
+}
+
+// endsOnOneDone checks an SSE body: its last event is end, the one
+// before it a done status, and no other status is terminal.
+func endsOnOneDone(t *testing.T, body string) error {
+	events := parseSSE(t, body)
+	n := len(events)
+	if n < 2 || events[n-1] != (sseEvent{event: "end", data: "{}"}) {
+		return fmt.Errorf("does not end with an end event")
+	}
+	terminals := 0
+	for i, ev := range events[:n-1] {
+		if ev.event != "status" {
+			continue
+		}
+		var st struct {
+			State string `json:"state"`
+		}
+		if err := json.Unmarshal([]byte(ev.data), &st); err != nil {
+			return fmt.Errorf("status %d: %v", i, err)
+		}
+		if terminal(st.State) {
+			terminals++
+		}
+		if i == n-2 && st.State != StateDone {
+			return fmt.Errorf("ends on state %q, want %q", st.State, StateDone)
+		}
+	}
+	if events[n-2].event != "status" || terminals != 1 {
+		return fmt.Errorf("sends %d terminal statuses before end, want exactly one right before it", terminals)
+	}
+	return nil
 }
 
 // submit accepts a run on d and returns its ID.

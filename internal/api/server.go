@@ -338,7 +338,8 @@ func (d *Daemon) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	serveSSE(w, r, ch, func() (RunStatus, bool) { return d.RunStatus(r.PathValue("id")) })
+	serveSSE(w, r, ch, func() (RunStatus, bool) { return d.RunStatus(r.PathValue("id")) },
+		func(s RunStatus) bool { return terminal(s.State) })
 }
 
 func (d *Daemon) handleCampaignEvents(w http.ResponseWriter, r *http.Request) {
@@ -348,14 +349,19 @@ func (d *Daemon) handleCampaignEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	serveSSE(w, r, ch, func() (CampaignStatus, bool) { return d.CampaignStatus(r.PathValue("id")) })
+	serveSSE(w, r, ch, func() (CampaignStatus, bool) { return d.CampaignStatus(r.PathValue("id")) },
+		func(s CampaignStatus) bool { return terminal(s.State) })
 }
 
 // serveSSE streams status snapshots as server-sent events until the
 // subscription closes (subject terminal) or the client disconnects.
-// Because slow subscribers may drop intermediate snapshots, the final
-// authoritative status is re-fetched and sent before the stream ends.
-func serveSSE[T any](w http.ResponseWriter, r *http.Request, ch <-chan T, final func() (T, bool)) {
+// Because slow subscribers may drop intermediate snapshots, a stream
+// whose last snapshot sent was not terminal re-fetches the final
+// authoritative status and sends it before it ends; either way exactly
+// one terminal status precedes the end event. isTerminal decides by the
+// snapshot's state, not its bytes: a campaign's terminal snapshot and
+// its re-fetch differ.
+func serveSSE[T any](w http.ResponseWriter, r *http.Request, ch <-chan T, final func() (T, bool), isTerminal func(T) bool) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported"})
@@ -377,6 +383,7 @@ func serveSSE[T any](w http.ResponseWriter, r *http.Request, ch <-chan T, final 
 		fmt.Fprintf(w, "event: status\ndata: %s\n\n", b)
 		flusher.Flush()
 	}
+	sentTerminal := false
 	for {
 		select {
 		case <-r.Context().Done():
@@ -386,7 +393,7 @@ func serveSSE[T any](w http.ResponseWriter, r *http.Request, ch <-chan T, final 
 			flusher.Flush()
 		case v, open := <-ch:
 			if !open {
-				if last, ok := final(); ok {
+				if last, ok := final(); ok && !sentTerminal {
 					send(last)
 				}
 				fmt.Fprint(w, "event: end\ndata: {}\n\n")
@@ -394,6 +401,7 @@ func serveSSE[T any](w http.ResponseWriter, r *http.Request, ch <-chan T, final 
 				return
 			}
 			send(v)
+			sentTerminal = isTerminal(v)
 		}
 	}
 }

@@ -256,7 +256,8 @@ func TestSSEDropSafeFinalStatus(t *testing.T) {
 
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest("GET", "/v1/runs/r1/events", nil)
-	serveSSE(rec, req, ch, func() (RunStatus, bool) { return authoritative, true })
+	serveSSE(rec, req, ch, func() (RunStatus, bool) { return authoritative, true },
+		func(s RunStatus) bool { return terminal(s.State) })
 
 	events := parseSSE(t, rec.Body.String())
 	if len(events) < 3 {

@@ -217,6 +217,10 @@ func (d *DUF) logEvent(now time.Duration, kind EventKind) {
 // Events returns the logged decision history, oldest first (bounded).
 func (d *DUF) Events() []Event { return d.log.events() }
 
+// DropLog stops d keeping its decision log, which Events then returns
+// as nil; control_events_total still counts every decision.
+func (d *DUF) DropLog() { d.log = nil }
+
 // Uncore returns the currently targeted uncore frequency, for tests and
 // traces.
 func (d *DUF) Uncore() units.Frequency { return d.loop.target }

@@ -134,6 +134,10 @@ func (d *DUFP) Uncore() units.Frequency { return d.uncore.target }
 // Events returns the logged decision history, oldest first (bounded).
 func (d *DUFP) Events() []Event { return d.log.events() }
 
+// DropLog stops d keeping its decision log, which Events then returns
+// as nil; control_events_total still counts every decision.
+func (d *DUFP) DropLog() { d.log = nil }
+
 func (d *DUFP) logEvent(now time.Duration, kind EventKind) {
 	d.log.add(Event{Time: now, Kind: kind, Cap: d.cap.Cap(), Uncore: d.uncore.target})
 	d.events.count(kind)

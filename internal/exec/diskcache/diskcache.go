@@ -28,7 +28,8 @@
 //
 // Writes are write-behind: Put updates the in-memory index immediately
 // and queues the record for a background writer; Close drains the queue,
-// flushes and fsyncs. Floats travel as raw IEEE 754 bits, so a
+// flushes and fsyncs. The queue holds only pending records, at most
+// maxPending of them. Floats travel as raw IEEE 754 bits, so a
 // disk-served run is bit-identical to a fresh one.
 package diskcache
 
@@ -60,6 +61,11 @@ const segMagic = "DUFPSEG3"
 // maxFrame bounds one frame's body: a length prefix beyond it marks the
 // segment corrupt rather than asking for an absurd buffer.
 const maxFrame = 1 << 20
+
+// maxPending bounds the write-behind queue: the records Put accepted
+// that the writer has not yet written. Past it Put drops the record and
+// counts it.
+const maxPending = 4096
 
 // Key is the content address of one run, mirroring the executor's ID.
 type Key struct {
@@ -147,9 +153,12 @@ type Cache struct {
 	version  string
 	writeObs func(float64)
 
-	mu      sync.RWMutex
-	mem     map[Key]metrics.Run
-	byID    map[uint64]Key // keyed by Sum
+	mu  sync.RWMutex
+	mem map[Key]metrics.Run
+	// byID indexes mem by Sum. It is built on the first GetByID, under
+	// the write lock, and kept current by Put from then on, so a process
+	// that never looks a run up by ID never hashes a key.
+	byID    map[uint64]Key
 	closed  bool
 	warning string
 
@@ -157,9 +166,16 @@ type Cache struct {
 	corrupt, stale, loaded atomic.Int64
 	written, dropped       atomic.Int64
 
-	queue chan record
-	done  chan struct{}
-	wg    sync.WaitGroup
+	// qmu guards queue and pending. Put takes it under mu, so a record
+	// is queued before Close can mark the cache closed.
+	qmu     sync.Mutex
+	queue   []record // accepted, not yet taken by the writer
+	pending int      // accepted, not yet written: at most maxPending
+	// wake tells the writer that queue holds records; one buffered
+	// signal covers any number of Puts since the writer last looked.
+	wake chan struct{}
+	done chan struct{}
+	wg   sync.WaitGroup
 
 	f *os.File
 	w *bufio.Writer
@@ -185,8 +201,7 @@ func Open(dir, version string, opts ...Option) (*Cache, error) {
 		dir:     dir,
 		version: version,
 		mem:     make(map[Key]metrics.Run),
-		byID:    make(map[uint64]Key),
-		queue:   make(chan record, 4096),
+		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
 	for _, opt := range opts {
@@ -232,9 +247,18 @@ func (c *Cache) load() {
 	if err != nil {
 		return
 	}
-	sc := newSegScanner()
-	for _, path := range segs {
-		sc.file(c, path)
+	sc := newSegScanner(segs)
+	for i, path := range segs {
+		sc.file(c, path, sc.sizes[i])
+	}
+}
+
+// index adds a run to the in-memory index. The caller holds mu for
+// writing, or owns c as Open does.
+func (c *Cache) index(key Key, run metrics.Run) {
+	c.mem[key] = run
+	if c.byID != nil {
+		c.byID[Sum(key)] = key
 	}
 }
 
@@ -261,16 +285,38 @@ func (c *Cache) GetByID(id string) (Key, metrics.Run, bool) {
 	sum, ok := parseRunID(id)
 	if ok {
 		c.mu.RLock()
-		if key, ok = c.byID[sum]; ok {
-			run, ok = c.mem[key]
+		built := c.byID != nil
+		if built {
+			key, run, ok = c.lookupID(sum)
 		}
 		c.mu.RUnlock()
+		if !built {
+			c.mu.Lock()
+			if c.byID == nil {
+				c.byID = make(map[uint64]Key, len(c.mem))
+				for k := range c.mem {
+					c.byID[Sum(k)] = k
+				}
+			}
+			key, run, ok = c.lookupID(sum)
+			c.mu.Unlock()
+		}
 	}
 	if ok {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
 	}
+	return key, run, ok
+}
+
+// lookupID resolves a Sum through byID; the caller holds mu.
+func (c *Cache) lookupID(sum uint64) (Key, metrics.Run, bool) {
+	key, ok := c.byID[sum]
+	if !ok {
+		return Key{}, metrics.Run{}, false
+	}
+	run, ok := c.mem[key]
 	return key, run, ok
 }
 
@@ -281,26 +327,32 @@ func (c *Cache) GetByID(id string) (Key, metrics.Run, bool) {
 // written once.
 func (c *Cache) Put(key Key, run metrics.Run) {
 	c.mu.Lock()
-	if c.closed || c.w == nil {
-		if _, dup := c.mem[key]; !dup && c.warning != "" {
-			// Memory-only operation still serves later Gets this process.
-			c.mem[key] = run
-			c.byID[Sum(key)] = key
-		}
-		c.mu.Unlock()
-		return
-	}
+	defer c.mu.Unlock()
 	if _, dup := c.mem[key]; dup {
-		c.mu.Unlock()
 		return
 	}
-	c.mem[key] = run
-	c.byID[Sum(key)] = key
-	c.mu.Unlock()
-	select {
-	case c.queue <- record{Key: key, Run: run}:
-	default:
+	if c.closed || c.w == nil {
+		if c.warning != "" {
+			// Memory-only operation still serves later Gets this process.
+			c.index(key, run)
+		}
+		return
+	}
+	c.index(key, run)
+	c.qmu.Lock()
+	queued := c.pending < maxPending
+	if queued {
+		c.queue = append(c.queue, record{Key: key, Run: run})
+		c.pending++
+	}
+	c.qmu.Unlock()
+	if !queued {
 		c.dropped.Add(1)
+		return
+	}
+	select {
+	case c.wake <- struct{}{}:
+	default: // a wake-up is already pending
 	}
 }
 
@@ -308,21 +360,34 @@ func (c *Cache) Put(key Key, run metrics.Run) {
 // Close signals, then drains what is left.
 func (c *Cache) writer() {
 	defer c.wg.Done()
+	var batch []record
 	for {
 		select {
-		case rec := <-c.queue:
-			c.append(rec)
+		case <-c.wake:
+			batch = c.writeQueued(batch)
 		case <-c.done:
-			for {
-				select {
-				case rec := <-c.queue:
-					c.append(rec)
-				default:
-					return
-				}
-			}
+			// Close marks the cache closed before it signals, and Put
+			// queues only while it is open, so one pass drains the queue.
+			c.writeQueued(batch)
+			return
 		}
 	}
+}
+
+// writeQueued takes every queued record and appends them in Put order.
+// The queue and the writer trade backing arrays, so it returns the
+// emptied batch for the next call.
+func (c *Cache) writeQueued(batch []record) []record {
+	c.qmu.Lock()
+	batch, c.queue = c.queue, batch[:0]
+	c.qmu.Unlock()
+	for _, rec := range batch {
+		c.append(rec)
+	}
+	c.qmu.Lock()
+	c.pending -= len(batch)
+	c.qmu.Unlock()
+	return batch
 }
 
 // append serialises one record onto the segment file as a v3 frame,

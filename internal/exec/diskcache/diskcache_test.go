@@ -472,3 +472,42 @@ func TestGetByIDIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestPutDropsPastPendingBound pins the write-behind bound. While the
+// writer is held inside its first record, Put queues up to maxPending
+// records, drops and counts the rest, and still indexes every one; Close
+// then drains the queue, so exactly the queued records reach the
+// segment.
+func TestPutDropsPastPendingBound(t *testing.T) {
+	dir := t.TempDir()
+	release := make(chan struct{})
+	c, err := Open(dir, physV, WithWriteObserver(func(float64) { <-release }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const extra = 10
+	for i := 0; i < maxPending+extra; i++ {
+		c.Put(testKeyAt(i), testRun(i))
+	}
+	if st := c.Stats(); st.Dropped != extra {
+		t.Errorf("dropped %d of %d records, want %d", st.Dropped, maxPending+extra, extra)
+	}
+	if _, ok := c.Get(testKeyAt(maxPending + extra - 1)); !ok {
+		t.Error("a dropped record does not serve Get in its own process")
+	}
+	close(release)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Written != maxPending {
+		t.Errorf("wrote %d records, want %d", st.Written, maxPending)
+	}
+	re, err := Open(dir, physV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Stats(); st.Loaded != maxPending || st.Corrupt != 0 {
+		t.Errorf("reopened: %+v, want %d loaded and none corrupt", st, maxPending)
+	}
+}

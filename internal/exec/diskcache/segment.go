@@ -7,8 +7,13 @@ import (
 	"io"
 	"os"
 
+	"dufp/internal/metrics"
 	"dufp/internal/wirebin"
 )
+
+// maxReader bounds the read buffer of one segment scan; a smaller
+// segment gets a buffer of its own size.
+const maxReader = 256 << 10
 
 // segScanner is the read-path state for binary v3 segments, reused
 // across every file in a directory: one frame buffer grown to the
@@ -19,25 +24,41 @@ type segScanner struct {
 	frame []byte
 	r     *wirebin.Reader
 	in    wirebin.Interner
+	// sizes are the segments' byte lengths at the scan's start, and
+	// total their sum: what sizes the index (see admit).
+	sizes []int64
+	total int64
+	sized bool
 }
 
-func newSegScanner() *segScanner {
-	return &segScanner{frame: make([]byte, 4096), r: wirebin.NewReader(nil)}
+// newSegScanner prepares a scan of the segment files segs.
+func newSegScanner(segs []string) *segScanner {
+	sc := &segScanner{r: wirebin.NewReader(nil), sizes: make([]int64, len(segs))}
+	for i, path := range segs {
+		if fi, err := os.Stat(path); err == nil {
+			sc.sizes[i] = fi.Size()
+			sc.total += fi.Size()
+		}
+	}
+	return sc
 }
 
-// file scans one binary segment into c's index. Error policy: a frame
-// whose CRC fails is counted corrupt and skipped — the length prefix was
-// intact, so the next frame is still aligned. A malformed header, an
-// absurd length prefix or a torn tail (the last frame of a crashed
-// writer) count one corrupt record and end the file: everything before
-// the tear has already been admitted, which is the valid prefix.
-func (sc *segScanner) file(c *Cache, path string) {
+// file scans one binary segment of size bytes into c's index. Error
+// policy: a frame whose CRC fails is counted corrupt and skipped — the
+// length prefix was intact, so the next frame is still aligned. A
+// malformed header, an absurd length prefix or a torn tail (the last
+// frame of a crashed writer) count one corrupt record and end the file:
+// everything before the tear has already been admitted, which is the
+// valid prefix.
+func (sc *segScanner) file(c *Cache, path string, size int64) {
 	f, err := os.Open(path)
 	if err != nil {
 		return
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 256*1024)
+	// The reader is no larger than the segment; a segment that grew since
+	// its size was taken is still read to its end, in more refills.
+	br := bufio.NewReaderSize(f, int(min(size, maxReader)))
 	stale, ok := sc.header(c, br)
 	if !ok {
 		return
@@ -70,9 +91,21 @@ func (sc *segScanner) file(c *Cache, path string) {
 			c.corrupt.Add(1)
 			continue
 		}
-		c.loaded.Add(1)
-		c.mem[key] = run
-		c.byID[Sum(key)] = key
+		sc.admit(c, len(buf))
+		c.index(key, run)
+	}
+}
+
+// admit counts one valid record of frameLen bytes. The first one sizes
+// c's index for the whole scan: the segments' bytes over this frame's
+// length estimate the record count a little high, since segment headers
+// count in the bytes and length prefixes do not in the divisor, so the
+// index is allocated once instead of doubling its way up.
+func (sc *segScanner) admit(c *Cache, frameLen int) {
+	c.loaded.Add(1)
+	if !sc.sized {
+		sc.sized = true
+		c.mem = make(map[Key]metrics.Run, sc.total/int64(frameLen))
 	}
 }
 
@@ -81,6 +114,7 @@ func (sc *segScanner) file(c *Cache, path string) {
 // scan: empty (a writer that crashed before its first flush leaves zero
 // bytes), or a header too damaged to trust any framing after it.
 func (sc *segScanner) header(c *Cache, br *bufio.Reader) (stale, ok bool) {
+	sc.grow(len(segMagic))
 	magic := sc.frame[:len(segMagic)]
 	if _, err := io.ReadFull(br, magic); err != nil {
 		if err != io.EOF {
@@ -133,9 +167,10 @@ func (sc *segScanner) next(c *Cache, br *bufio.Reader) (buf []byte, more bool) {
 	return buf, true
 }
 
+// grow makes the frame buffer hold at least n bytes.
 func (sc *segScanner) grow(n int) {
 	if cap(sc.frame) < n {
-		sc.frame = make([]byte, n)
+		sc.frame = make([]byte, max(n, 256))
 	}
 	sc.frame = sc.frame[:cap(sc.frame)]
 }

@@ -473,3 +473,42 @@ func TestSubmitAllEmptyAndCancelled(t *testing.T) {
 		t.Fatalf("stats = %+v, want 3 started and 3 cancelled", st)
 	}
 }
+
+// allocatedBytes returns the heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestNewAllocatesLittle pins that an executor starts empty: the memo
+// LRU's arena and index grow as runs arrive rather than at the bound,
+// and an empty disk tier queues nothing, so construction costs a small
+// constant, not DefaultCacheSize entries.
+func TestNewAllocatesLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap counts under the race detector")
+	}
+	run := countRunner(new(atomic.Int64))
+	New(run).Close() // registers the executor's metric families
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"memory only", nil},
+		{"empty disk tier", []Option{WithDiskCache(t.TempDir(), "v1")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var e *Executor
+			b := allocatedBytes(func() { e = New(run, tc.opts...) })
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if b >= 64<<10 {
+				t.Errorf("New allocated %d KiB, want < 64 KiB", b>>10)
+			}
+		})
+	}
+}

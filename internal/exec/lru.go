@@ -5,18 +5,20 @@ import (
 )
 
 // lruCache is a bounded least-recently-used map of completed runs. The
-// recency list is intrusive over a preallocated entry arena — indices
-// instead of pointers, a free list instead of node allocation — so get,
-// add and evict are allocation-free after construction and the settle
-// path never feeds the garbage collector. It is not safe for concurrent
+// recency list is intrusive over an entry arena — indices instead of
+// pointers, no per-node allocation — so get, add and evict allocate
+// nothing but arena blocks. The arena starts empty and grows a block at
+// a time as runs arrive, up to the bound; entries never move, so an
+// index stays valid, and once the arena is full add recycles the
+// least-recently-used entry in place. It is not safe for concurrent
 // use; the Executor serialises access under its mutex.
 type lruCache struct {
-	items   map[ID]int32
-	entries []lruEntry
-	head    int32 // most recently used, -1 when empty
-	tail    int32 // least recently used, -1 when empty
-	free    int32 // free-list head (linked through next), -1 when full
-	used    int
+	items    map[ID]int32
+	blocks   [][]lruEntry // entry i is blocks[i/lruBlock][i%lruBlock]
+	capacity int
+	head     int32 // most recently used, -1 when empty
+	tail     int32 // least recently used, -1 when empty
+	used     int   // entries 0..used-1 are live
 }
 
 type lruEntry struct {
@@ -25,21 +27,22 @@ type lruEntry struct {
 	prev, next int32
 }
 
+// lruBlock is how many entries one arena block holds: a campaign pays
+// for the runs it keeps, rounded up to a block, not for the bound.
+const lruBlock = 256
+
 func newLRU(capacity int) *lruCache {
-	if capacity < 1 {
-		capacity = 1
+	return &lruCache{
+		items:    make(map[ID]int32),
+		capacity: max(capacity, 1),
+		head:     -1,
+		tail:     -1,
 	}
-	c := &lruCache{
-		items:   make(map[ID]int32, capacity),
-		entries: make([]lruEntry, capacity),
-		head:    -1,
-		tail:    -1,
-	}
-	for i := range c.entries {
-		c.entries[i].next = int32(i + 1)
-	}
-	c.entries[capacity-1].next = -1
-	return c
+}
+
+// at returns entry i of the arena.
+func (c *lruCache) at(i int32) *lruEntry {
+	return &c.blocks[i/lruBlock][i%lruBlock]
 }
 
 func (c *lruCache) get(id ID) (metrics.Run, bool) {
@@ -48,33 +51,36 @@ func (c *lruCache) get(id ID) (metrics.Run, bool) {
 		return metrics.Run{}, false
 	}
 	c.moveToFront(i)
-	return c.entries[i].run, true
+	return c.at(i).run, true
 }
 
 // add inserts or refreshes an entry and returns how many were evicted.
 func (c *lruCache) add(id ID, run metrics.Run) int {
 	if i, ok := c.items[id]; ok {
-		c.entries[i].run = run
+		c.at(i).run = run
 		c.moveToFront(i)
 		return 0
 	}
 	evicted := 0
-	i := c.free
-	if i < 0 {
+	var i int32
+	if c.used == c.capacity {
 		// Arena full: recycle the least-recently-used entry in place.
 		i = c.tail
 		c.unlink(i)
-		delete(c.items, c.entries[i].id)
-		c.used--
+		delete(c.items, c.at(i).id)
 		evicted = 1
 	} else {
-		c.free = c.entries[i].next
+		i = int32(c.used)
+		if c.used%lruBlock == 0 {
+			// The last block stops at the bound.
+			c.blocks = append(c.blocks, make([]lruEntry, min(lruBlock, c.capacity-c.used)))
+		}
+		c.used++
 	}
-	e := &c.entries[i]
+	e := c.at(i)
 	e.id, e.run = id, run
 	c.pushFront(i)
 	c.items[id] = i
-	c.used++
 	return evicted
 }
 
@@ -82,14 +88,14 @@ func (c *lruCache) len() int { return c.used }
 
 // unlink removes entry i from the recency list.
 func (c *lruCache) unlink(i int32) {
-	e := &c.entries[i]
+	e := c.at(i)
 	if e.prev >= 0 {
-		c.entries[e.prev].next = e.next
+		c.at(e.prev).next = e.next
 	} else {
 		c.head = e.next
 	}
 	if e.next >= 0 {
-		c.entries[e.next].prev = e.prev
+		c.at(e.next).prev = e.prev
 	} else {
 		c.tail = e.prev
 	}
@@ -97,10 +103,10 @@ func (c *lruCache) unlink(i int32) {
 
 // pushFront makes entry i the most recently used.
 func (c *lruCache) pushFront(i int32) {
-	e := &c.entries[i]
+	e := c.at(i)
 	e.prev, e.next = -1, c.head
 	if c.head >= 0 {
-		c.entries[c.head].prev = i
+		c.at(c.head).prev = i
 	}
 	c.head = i
 	if c.tail < 0 {

@@ -3,7 +3,6 @@ package dufp
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"dufp/internal/control"
@@ -85,8 +84,9 @@ type GovernorFunc func(act control.Actuators) (control.Instance, error)
 // attach builds per-socket actuators and controller instances on a
 // machine. dev is the MSR device the actuators address — the machine's
 // own register file, or the fault layer's wrapper around it — and inj,
-// when non-nil, additionally wraps each socket's counter source.
-func (s Session) attach(m *sim.Machine, mk GovernorFunc, runSeed int64, dev msr.Device, inj *fault.Injector) ([]sim.Governor, []control.Instance, error) {
+// when non-nil, additionally wraps each socket's counter source. Socket
+// i's monitor draws its noise from generator i+1 of gens.
+func (s Session) attach(m *sim.Machine, mk GovernorFunc, runSeed int64, gens *generators, dev msr.Device, inj *fault.Injector) ([]sim.Governor, []control.Instance, error) {
 	spec := m.Config().Topo.Spec
 	govs := make([]sim.Governor, m.Sockets())
 	insts := make([]control.Instance, m.Sockets())
@@ -100,7 +100,7 @@ func (s Session) attach(m *sim.Machine, mk GovernorFunc, runSeed int64, dev msr.
 		if err != nil {
 			return nil, nil, err
 		}
-		rng := rand.New(rand.NewSource(runSeed*7919 + int64(i)*104729 + 13))
+		rng := gens.seeded(i+1, runSeed*7919+int64(i)*104729+13)
 		var src papi.Source = sock
 		if inj != nil {
 			src = inj.Source(sock)
@@ -181,7 +181,8 @@ func (s Session) execute(ctx context.Context, app App, mk GovernorFunc, idx int,
 	if err != nil {
 		return Run{}, err
 	}
-	phases := app.Unroll(rand.New(rand.NewSource(seed*31+7)), s.Jitter)
+	gens := generatorsFor(ctx)
+	phases := app.Unroll(gens.seeded(0, seed*31+7), s.Jitter)
 	if err := m.Load(phases); err != nil {
 		return Run{}, err
 	}
@@ -200,9 +201,16 @@ func (s Session) execute(ctx context.Context, app App, mk GovernorFunc, idx int,
 		dev = inj.Device(m.MSR())
 	}
 
-	govs, insts, err := s.attach(m, mk, seed, dev, inj)
+	govs, insts, err := s.attach(m, mk, seed, gens, dev, inj)
 	if err != nil {
 		return Run{}, err
+	}
+	if tr == nil && (rec == nil || !rec.full) {
+		// Only a span trace (attachControlEvents) and a full record
+		// (socket0Events) read the decision logs.
+		for _, inst := range insts {
+			dropLog(inst)
+		}
 	}
 	var govName string
 	for _, inst := range insts {
@@ -333,12 +341,13 @@ func (s Session) SummarizeAll(ctx context.Context, reqs []SummaryRequest, n int)
 		return out
 	}
 	// Address each configuration once: one session fingerprint for the
-	// batch, one key (fingerprints and payload) per request, copied
-	// across the request's run indices.
+	// batch, one render per distinct application, one key (fingerprints
+	// and payload) per request, copied across the request's run indices.
 	fp := s.fingerprint()
+	apps := appRenders{}
 	keys := make([]RunKey, 0, len(reqs)*n)
 	for _, req := range reqs {
-		key := s.runKey(fp, req.App, req.Governor, 0)
+		key := s.runKey(fp, apps.of(req.App), req.App, req.Governor, 0)
 		for i := 0; i < n; i++ {
 			key.Idx = i
 			keys = append(keys, key)

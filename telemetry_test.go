@@ -107,3 +107,58 @@ func TestMetricsRegistryPublishes(t *testing.T) {
 		}
 	}
 }
+
+// decisionCounts reads control_events_total's DUFP series, by kind.
+func decisionCounts(t *testing.T) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, f := range dufp.Metrics().Snapshot() {
+		if f.Name != "control_events_total" {
+			continue
+		}
+		for _, s := range f.Series {
+			if s.Labels["governor"] == "DUFP" {
+				out[s.Labels["kind"]] = s.Value
+			}
+		}
+	}
+	return out
+}
+
+// TestPlainRunCountsEveryDecision pins that a plain run, which keeps no
+// decision log, still counts every decision: it and a recorded run of
+// the same spec move control_events_total by the same amounts, kind by
+// kind.
+func TestPlainRunCountsEveryDecision(t *testing.T) {
+	app, err := dufp.AppNamed("CG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := dufp.NewSession().OnExecutor(dufp.NewExecutor())
+	spec := dufp.RunSpec{App: app, Governor: dufp.DUFP(dufp.DefaultControlConfig(0.10))}
+	ctx := context.Background()
+	before := decisionCounts(t)
+	if _, err := s.Run(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	mid := decisionCounts(t)
+	rec, err := s.Run(ctx, spec, dufp.WithRecord())
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := decisionCounts(t)
+	if len(rec.Events) == 0 {
+		t.Fatal("the recorded run kept no decision log")
+	}
+	moved := false
+	for kind := range after {
+		plain, recorded := mid[kind]-before[kind], after[kind]-mid[kind]
+		if plain != recorded {
+			t.Errorf("%s: the plain run counted %v decisions, the recorded run %v", kind, plain, recorded)
+		}
+		moved = moved || plain > 0
+	}
+	if !moved {
+		t.Error("neither run counted a decision")
+	}
+}
