@@ -18,16 +18,19 @@ tier1-faults:
 
 # tier1-api gates the campaign daemon: the wire-schema round-trips, the
 # daemon unit tests and the e2e that kills a live dufpd mid-campaign and
-# requires the resumed results to be bit-identical to a cold run.
+# requires the resumed results to be bit-identical to a cold run. The
+# race detector also covers the daemon's store of run records, where a
+# run's span trace and samples are retained and evicted while other runs
+# still dispatch.
 tier1-api:
 	$(GO) test -run 'Wire|RunSpec|RunResult|Summary' . -count=1
 	$(GO) test -race ./internal/api/... -count=1
 
 # tier1-obs gates the observability layer under the race detector: the
 # metrics registry and its exemplars, both expositions rendered while
-# histogram writers run, the span flight recorder, the Perfetto export
-# and the timeline join. dufpd serves the expositions over HTTP;
-# tier1-api covers that handler.
+# histogram writers run, the span traces, the Perfetto export and the
+# timeline join. dufpd serves the expositions over HTTP and retains the
+# span traces of its recent runs; tier1-api covers both.
 tier1-obs:
 	$(GO) test -race ./internal/obs/... -count=1
 
@@ -74,7 +77,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRun$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/wirebin/
 
 # cover enforces a floor on the telemetry layer's test coverage
-# (internal/obs: the registry, the span recorder and the timeline join):
+# (internal/obs: the registry, the span traces and the timeline join):
 # they are pure data plumbing, so near-total coverage is cheap and
 # regressions there are silent otherwise.
 COVER_PKGS = ./internal/obs/...

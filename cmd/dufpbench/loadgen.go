@@ -34,8 +34,9 @@ type loadgenResult struct {
 	GetCampaign latencyStats `json:"get_campaign"`
 	// Span-derived decomposition of the warm campaign's runs: wall clock
 	// spent waiting in the daemon's bounded queue versus everything from
-	// dispatch to completion. TracedRuns is the number of flight-recorder
-	// traces the split was computed from.
+	// dispatch to completion. TracedRuns is the number of retained span
+	// traces the split was computed from (at most the daemon's record
+	// store capacity, api.DefaultSampleCapacity).
 	TracedRuns int          `json:"traced_runs"`
 	QueueWait  latencyStats `json:"span_queue_wait"`
 	Service    latencyStats `json:"span_service"`
@@ -95,9 +96,6 @@ func runLoadgen(ctx context.Context, opts experiment.Options, n int, dur time.Du
 		Executor:   opts.Executor,
 		QueueDepth: 4096,
 		Registry:   dufp.NewMetricsRegistry(),
-		// Retain a span trace for every warm-campaign run so the report
-		// can split queue wait from service time.
-		SpanCapacity: 4096,
 	})
 	if err != nil {
 		return err
@@ -234,17 +232,22 @@ func runLoadgen(ctx context.Context, opts experiment.Options, n int, dur time.Du
 	res.GetRun = statsOf(byKind["get_run"])
 	res.GetCampaign = statsOf(byKind["get_campaign"])
 
-	// Decompose the warm campaign's runs with the daemon's flight
-	// recorder: queue wait (acceptance to dispatch) vs service time
-	// (dispatch to completion). Under a full queue the wait dominates;
-	// the split shows whether latency is backpressure or simulation.
+	// Decompose the warm campaign's runs with their span traces: queue
+	// wait (acceptance to dispatch) vs service time (dispatch to
+	// completion). Under a full queue the wait dominates; the split shows
+	// whether latency is backpressure or simulation. The daemon keeps
+	// the traces of its last api.DefaultSampleCapacity dispatched runs.
 	var queueWait, service []time.Duration
-	daemon.Spans().Each(func(tr *dufp.SpanTrace) {
+	for _, id := range runIDs {
+		tr, ok := daemon.Spans().Get(id)
+		if !ok {
+			continue
+		}
 		sum := tr.Summary()
 		q := sum.Stage(span.StageQueue)
 		queueWait = append(queueWait, q)
 		service = append(service, time.Duration(sum.TotalNS)-q)
-	})
+	}
 	res.TracedRuns = len(queueWait)
 	res.QueueWait = statsOf(queueWait)
 	res.Service = statsOf(service)

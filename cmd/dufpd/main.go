@@ -11,14 +11,15 @@
 // daemon resumes where it stopped: replayed runs whose results are on
 // disk complete without re-simulation, bit-identical to the originals.
 // The same handler also serves the observability surface (/metrics,
-// /metrics.json, /debug/pprof/), and every dispatched run leaves a
-// span trace in a bounded flight recorder, served as Perfetto-loadable
-// Chrome trace-event JSON from GET /v1/runs/{id}/trace. Dispatched runs
-// also stream their trace into a bounded per-run reservoir
-// (-sample-capacity runs, -sample-points per socket): GET
-// /v1/runs/{id}/samples serves the retained series paginated
-// (?socket=&offset=&limit=) or as NDJSON (?format=ndjson), and GET
-// /v1/runs/{id}?include=trace embeds the full wire v1.1 result.
+// /metrics.json, /debug/pprof/), and the daemon keeps a record of each
+// of the last -sample-capacity runs it dispatched. A record holds the
+// run's trace, streamed into a bounded reservoir (-sample-points per
+// socket) while the run is still producing, and, once dispatch has
+// ended, its span trace. GET /v1/runs/{id}/samples serves the retained
+// series paginated (?socket=&offset=&limit=) or as NDJSON
+// (?format=ndjson), GET /v1/runs/{id}?include=trace embeds the full wire
+// v1.1 result, and GET /v1/runs/{id}/trace serves the span trace as
+// Perfetto-loadable Chrome trace-event JSON.
 //
 // On SIGINT/SIGTERM the daemon stops intake and drains in-flight runs
 // for -drain-timeout before exiting; a second signal kills it
@@ -52,9 +53,8 @@ func daemonMain() int {
 		queue     = flag.Int("queue", 256, "bounded job queue depth; full queue rejects single-run submissions with 429")
 		seed      = flag.Int64("seed", 42, "base seed of the measurement campaigns")
 		drainFor  = flag.Duration("drain-timeout", 30*time.Second, "how long to drain in-flight runs on shutdown before aborting them")
-		spanCap   = flag.Int("span-capacity", 0, "span flight-recorder ring size for /v1/runs/{id}/trace (0: default 256, negative: disable tracing)")
 		spanSlow  = flag.Duration("span-slow", 0, "slow-run budget: log the full span tree of any run over this wall clock (0: off)")
-		sampleCap = flag.Int("sample-capacity", 0, "trace sample store: runs retained for /v1/runs/{id}/samples (0: default 64, negative: disable)")
+		sampleCap = flag.Int("sample-capacity", 0, "run record store: recently dispatched runs whose samples and span trace are kept for /v1/runs/{id}/samples and /trace (non-positive: default 64)")
 		samplePts = flag.Int("sample-points", 0, "per-socket reservoir size of each retained run's samples (0: default 8192)")
 	)
 	flag.Parse()
@@ -85,7 +85,6 @@ func daemonMain() int {
 		QueueDepth:            *queue,
 		DataDir:               *dataDir,
 		Logf:                  logger.Printf,
-		SpanCapacity:          *spanCap,
 		SpanSlowThreshold:     *spanSlow,
 		SampleCapacity:        *sampleCap,
 		SamplePointsPerSocket: *samplePts,

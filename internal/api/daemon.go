@@ -16,7 +16,6 @@ import (
 	"dufp/internal/metrics"
 	"dufp/internal/obs"
 	"dufp/internal/obs/span"
-	"dufp/internal/trace"
 )
 
 // Submission errors, mapped to HTTP status codes by the server.
@@ -56,20 +55,15 @@ type Config struct {
 	Registry *obs.Registry
 	// Logf logs daemon lifecycle events; nil discards them.
 	Logf func(format string, args ...any)
-	// SpanCapacity bounds the span flight recorder: how many finished
-	// run traces the daemon retains for /v1/runs/{id}/trace (oldest
-	// evicted). 0 means span.DefaultCapacity; negative disables span
-	// recording entirely, restoring the untraced dispatch path.
-	SpanCapacity int
 	// SpanSlowThreshold, when positive, is the slow-run budget: any run
 	// whose queue-to-completion wall clock exceeds it has its full span
 	// tree written through Logf and counted in api_slow_runs_total.
 	SpanSlowThreshold time.Duration
-	// SampleCapacity bounds the trace sample store: how many recently
-	// dispatched runs keep a streaming reservoir for GET
-	// /v1/runs/{id}/samples (oldest evicted). 0 means
-	// DefaultSampleCapacity; negative disables sample retention,
-	// restoring the sink-free dispatch path.
+	// SampleCapacity bounds the run record store: how many recently
+	// dispatched runs keep their trace samples for GET
+	// /v1/runs/{id}/samples and their span trace for GET
+	// /v1/runs/{id}/trace (oldest evicted). Non-positive means
+	// DefaultSampleCapacity.
 	SampleCapacity int
 	// SamplePointsPerSocket bounds each retained run's reservoir;
 	// non-positive means trace.DefaultReservoirPoints. Longer runs keep
@@ -79,7 +73,8 @@ type Config struct {
 
 // job is one tracked run. Mutable fields are guarded by Daemon.mu; the
 // trace and its queue-stage handle are written at creation and then
-// touched only by the dispatching worker.
+// touched only by the dispatching worker, which hands the trace to the
+// run's record and clears them.
 type job struct {
 	id      string
 	spec    dufp.RunSpec
@@ -144,11 +139,9 @@ type Daemon struct {
 	draining bool
 
 	journal *os.File
-	spans   *span.Recorder
-	samples *sampleStore
+	records *records
 
 	mQueueDepth *obs.Gauge
-	mSlowRuns   *obs.Counter
 	mJobs       *obs.CounterVec
 	mCampaigns  *obs.Counter
 	mRejected   *obs.CounterVec
@@ -224,16 +217,9 @@ func New(cfg Config) (*Daemon, error) {
 			"API requests served, by route and status code.", "route", "code"),
 		mReqSec: reg.Histogram("api_http_request_seconds",
 			"API request latency by route.", obs.ExpBuckets(1e-4, 2.5, 12), "route"),
-		mSlowRuns: reg.Counter("api_slow_runs_total",
-			"Runs whose wall clock exceeded the span slow-run budget.").With(),
-	}
-	d.samples = newSampleStore(cfg.SampleCapacity, cfg.SamplePointsPerSocket)
-	if cfg.SpanCapacity >= 0 {
-		d.spans = span.NewRecorder(cfg.SpanCapacity,
-			span.WithSlowThreshold(cfg.SpanSlowThreshold, func(format string, args ...any) {
-				d.mSlowRuns.Inc()
-				logf(format, args...)
-			}))
+		records: newRecords(cfg.SampleCapacity, cfg.SamplePointsPerSocket, cfg.SpanSlowThreshold,
+			reg.Counter("api_slow_runs_total",
+				"Runs whose wall clock exceeded the span slow-run budget.").With(), logf),
 	}
 
 	for i := 0; i < workers; i++ {
@@ -254,40 +240,27 @@ func New(cfg Config) (*Daemon, error) {
 // queued jobs toward the executor concurrently.
 func (d *Daemon) Workers() int { return d.nworkers }
 
-// Spans returns the daemon's span flight recorder, nil when disabled
-// (negative Config.SpanCapacity).
-func (d *Daemon) Spans() *span.Recorder { return d.spans }
-
-// SamplesEnabled reports whether the daemon retains trace samples
-// (non-negative Config.SampleCapacity).
-func (d *Daemon) SamplesEnabled() bool { return d.samples != nil }
+// Spans returns the span traces of the runs the daemon's record store
+// holds.
+func (d *Daemon) Spans() SpanTraces { return SpanTraces{d.records} }
 
 // RunSamples pages the retained trace samples of a dispatched run:
 // socket selects the series, offset/limit cut the page (limit <= 0
-// means the remainder). ok is false when sample retention is disabled,
-// the run was never dispatched by this daemon generation, or its
-// reservoir has been evicted.
+// means the remainder). ok is false when the run was never dispatched
+// by this daemon generation or its record has been evicted.
 func (d *Daemon) RunSamples(id string, socket, offset, limit int) (RunSamples, bool) {
-	r, ok := d.runReservoir(id)
+	r, ok := d.records.reservoir(id)
 	if !ok {
 		return RunSamples{}, false
 	}
 	return pageSamples(id, r, socket, offset, limit), true
 }
 
-// runReservoir returns the live reservoir of a retained run.
-func (d *Daemon) runReservoir(id string) (*trace.Reservoir, bool) {
-	if d.samples == nil {
-		return nil, false
-	}
-	return d.samples.get(id)
-}
-
 // runResultWithTrace assembles the wire v1.1 result a ?include=trace
 // request embeds: the measurement (once done) plus the retained —
 // reservoir-decimated — trace series and its exact streaming summary.
 func (d *Daemon) runResultWithTrace(id string) (*dufp.RunResult, bool) {
-	r, ok := d.runReservoir(id)
+	r, ok := d.records.reservoir(id)
 	if !ok {
 		return nil, false
 	}
@@ -347,26 +320,20 @@ func (d *Daemon) dispatch() {
 		case j := <-d.queue:
 			d.mQueueDepth.Set(float64(len(d.queue)))
 			d.setRunning(j)
-			ctx := d.ctx
-			var dspan span.Handle
-			if j.tr != nil {
-				j.qspan.End()
-				dspan = j.tr.Start(span.StageDispatch)
-				ctx = span.NewContext(ctx, j.tr)
-			}
-			// Sample retention streams every dispatched run's trace into a
-			// bounded reservoir (GET /v1/runs/{id}/samples). The sink is a
-			// pure observer: the run stays bit-identical, and its result is
-			// still written through to the executor's cache tiers.
-			var opts []dufp.RunOption
-			if d.samples != nil {
-				opts = append(opts, dufp.WithTraceSink(d.samples.start(j.id)))
-			}
-			res, err := j.session.Run(ctx, j.spec, opts...)
-			if j.tr != nil {
-				dspan.End()
-				d.spans.Observe(j.tr)
-			}
+			// The job hands its trace to the run's record, so a done job
+			// pins nothing the bounded store has evicted.
+			tr := j.tr
+			j.qspan.End()
+			j.tr, j.qspan = nil, span.Handle{}
+			dspan := tr.Start(span.StageDispatch)
+			// The run's trace streams into its record's bounded reservoir
+			// (GET /v1/runs/{id}/samples). The sink is a pure observer: the
+			// run stays bit-identical, and its result is still written
+			// through to the executor's cache tiers.
+			rec := d.records.start(j.id)
+			res, err := j.session.Run(span.NewContext(d.ctx, tr), j.spec, dufp.WithTraceSink(rec.samples))
+			dspan.End()
+			d.records.attach(rec, tr)
 			d.complete(j, res.Run, err)
 		}
 	}
@@ -488,7 +455,7 @@ func (d *Daemon) trackLocked(id string, session dufp.Session, spec dufp.RunSpec)
 	d.jobs[id] = j
 	if run, ok := d.exe.DiskGetByID(id); ok {
 		j.state, j.run = StateDone, run
-	} else if d.spans != nil {
+	} else {
 		// The trace starts at acceptance, so the queue stage measures
 		// the full wait — including a campaign feeder blocking on queue
 		// capacity — and the root total is the run's end-to-end wall
@@ -705,13 +672,14 @@ func (d *Daemon) RunStatus(id string) (RunStatus, bool) {
 }
 
 // diskRunStatus answers for a run that a previous daemon completed: its
-// result is in the executor's disk cache, so it is done.
+// result is in the executor's disk cache, so it is done, and its content
+// address names the governor and run index a live daemon reports.
 func (d *Daemon) diskRunStatus(id string) (RunStatus, bool) {
-	run, ok := d.exe.DiskGetByID(id)
+	key, run, ok := d.exe.DiskLookupByID(id)
 	if !ok {
 		return RunStatus{}, false
 	}
-	return RunStatus{ID: id, State: StateDone, App: run.App, Governor: run.Governor, Run: &run}, true
+	return RunStatus{ID: id, State: StateDone, App: run.App, Governor: key.Governor, Idx: key.Idx, Run: &run}, true
 }
 
 // Runs lists every tracked run, ordered by ID.

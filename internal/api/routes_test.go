@@ -42,9 +42,10 @@ func waitCampaign(t *testing.T, d *Daemon, id string) {
 // JSON error body, a whole body carries its Content-Length, and an event
 // stream sends exactly one terminal status, done, right before its end.
 //
-// Three kinds of run ID are known: one this daemon dispatched (trace
-// and samples retained), one a previous daemon completed on the same
-// disk cache (status and events only), and one nobody ran.
+// Four kinds of run ID are known: one this daemon dispatched (trace and
+// samples retained), one it dispatched before its record store of two
+// filled up (status and events only), one a previous daemon completed
+// on the same disk cache (status and events only), and one nobody ran.
 func TestFullHandlerRoutes(t *testing.T) {
 	cacheDir := t.TempDir()
 	diskCfg := testConfig()
@@ -62,12 +63,15 @@ func TestFullHandlerRoutes(t *testing.T) {
 
 	cfg := testConfig()
 	cfg.Executor = dufp.NewExecutor(dufp.ExecDiskCache(cacheDir))
+	cfg.SampleCapacity = 2
 	defer cfg.Executor.Close()
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	// The run and the campaign's one new run evict this one's record.
+	evicted := waitRun(t, d, submit(t, d, dufp.RunSpec{App: mustApp(t, "EP"), Governor: dufp.Baseline(), Idx: 2}))
 	spec := dufp.RunSpec{App: mustApp(t, "EP"), Governor: dufp.DUFP(dufp.DefaultControlConfig(0.10))}
 	run := waitRun(t, d, submit(t, d, spec))
 	camp := CampaignSpec{V: dufp.WireVersion, Kind: KindSweep, Apps: []string{"EP"}, Tolerances: []float64{0.10}, Runs: 1}
@@ -76,8 +80,8 @@ func TestFullHandlerRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCampaign(t, d, cs.ID)
-	if run.State != StateDone || diskRun.State != StateDone {
-		t.Fatalf("setup runs: %s, %s", run.State, diskRun.State)
+	if run.State != StateDone || evicted.State != StateDone || diskRun.State != StateDone {
+		t.Fatalf("setup runs: %s, %s, %s", run.State, evicted.State, diskRun.State)
 	}
 	specBody, err := json.Marshal(spec)
 	if err != nil {
@@ -117,15 +121,19 @@ func TestFullHandlerRoutes(t *testing.T) {
 
 		{"run known", "GET", runs + run.ID, "", 200, typeJSON, false},
 		{"run known with trace", "GET", runs + run.ID + "?include=trace", "", 200, typeJSON, false},
+		{"run evicted", "GET", runs + evicted.ID, "", 200, typeJSON, false},
+		{"run evicted with trace", "GET", runs + evicted.ID + "?include=trace", "", 200, typeJSON, false},
 		{"run disk-only", "GET", runs + diskRun.ID, "", 200, typeJSON, false},
 		{"run unknown", "GET", runs + unknown, "", 404, typeJSON, false},
 
 		{"run events known", "GET", runs + run.ID + "/events", "", 200, typeSSE, true},
+		{"run events evicted", "GET", runs + evicted.ID + "/events", "", 200, typeSSE, true},
 		{"run events disk-only", "GET", runs + diskRun.ID + "/events", "", 200, typeSSE, true},
 		{"run events unknown", "GET", runs + unknown + "/events", "", 404, typeJSON, false},
 
 		{"run trace known", "GET", runs + run.ID + "/trace", "", 200, typeJSON, false},
 		{"run trace summary", "GET", runs + run.ID + "/trace?format=summary", "", 200, typeJSON, false},
+		{"run trace evicted", "GET", runs + evicted.ID + "/trace", "", 404, typeJSON, false},
 		{"run trace disk-only", "GET", runs + diskRun.ID + "/trace", "", 404, typeJSON, false},
 		{"run trace unknown", "GET", runs + unknown + "/trace", "", 404, typeJSON, false},
 
@@ -134,6 +142,7 @@ func TestFullHandlerRoutes(t *testing.T) {
 		{"run samples bad socket", "GET", runs + run.ID + "/samples?socket=x", "", 400, typeJSON, false},
 		{"run samples bad offset", "GET", runs + run.ID + "/samples?offset=-1", "", 400, typeJSON, false},
 		{"run samples bad limit", "GET", runs + run.ID + "/samples?limit=seven", "", 400, typeJSON, false},
+		{"run samples evicted", "GET", runs + evicted.ID + "/samples", "", 404, typeJSON, false},
 		{"run samples disk-only", "GET", runs + diskRun.ID + "/samples", "", 404, typeJSON, false},
 		{"run samples unknown", "GET", runs + unknown + "/samples", "", 404, typeJSON, false},
 

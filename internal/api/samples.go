@@ -1,70 +1,9 @@
 package api
 
 import (
-	"sync"
-
 	"dufp/internal/sim"
 	"dufp/internal/trace"
 )
-
-// DefaultSampleCapacity is how many recent traced runs the daemon keeps
-// sample reservoirs for when Config.SampleCapacity is zero.
-const DefaultSampleCapacity = 64
-
-// sampleStore retains one bounded trace reservoir per recently
-// dispatched run, the data behind GET /v1/runs/{id}/samples. Reservoirs
-// are attached as streaming sinks at dispatch, so the store's memory is
-// O(capacity × points) regardless of run durations, and a run's samples
-// can be paged while the run is still producing. The oldest run's
-// reservoir is evicted once the ring is full.
-type sampleStore struct {
-	mu       sync.Mutex
-	capacity int // runs retained
-	points   int // per-socket reservoir capacity (0: trace default)
-	order    []string
-	runs     map[string]*trace.Reservoir
-}
-
-func newSampleStore(capacity, points int) *sampleStore {
-	if capacity == 0 {
-		capacity = DefaultSampleCapacity
-	}
-	if capacity < 0 {
-		return nil
-	}
-	return &sampleStore{
-		capacity: capacity,
-		points:   points,
-		runs:     make(map[string]*trace.Reservoir),
-	}
-}
-
-// start registers a reservoir for a run about to dispatch and returns
-// it; re-dispatching the same ID (a later daemon generation) replaces
-// the old view.
-func (s *sampleStore) start(id string) *trace.Reservoir {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.runs[id]; !ok {
-		if len(s.order) >= s.capacity {
-			oldest := s.order[0]
-			s.order = s.order[1:]
-			delete(s.runs, oldest)
-		}
-		s.order = append(s.order, id)
-	}
-	r := trace.NewReservoir(s.points)
-	s.runs[id] = r
-	return r
-}
-
-// get returns the reservoir of a retained run.
-func (s *sampleStore) get(id string) (*trace.Reservoir, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.runs[id]
-	return r, ok
-}
 
 // SamplePoint is the wire form of one trace sample, the tracePointJSON
 // vocabulary of wire v1 (time_ns, core_hz, …).

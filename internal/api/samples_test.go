@@ -195,50 +195,6 @@ func TestRunStatusIncludeTrace(t *testing.T) {
 	}
 }
 
-func TestSamplesDisabled(t *testing.T) {
-	cfg := testConfig()
-	cfg.SampleCapacity = -1
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	status := runTracedJob(t, d)
-
-	ts := httptest.NewServer(d.FullHandler())
-	defer ts.Close()
-	if code := getJSON(t, ts.URL+"/v1/runs/"+status.ID+"/samples", nil); code != http.StatusNotFound {
-		t.Errorf("disabled store: HTTP %d, want 404", code)
-	}
-	// include=trace degrades to the plain status body.
-	var rich RunStatus
-	if code := getJSON(t, ts.URL+"/v1/runs/"+status.ID+"?include=trace", &rich); code != http.StatusOK {
-		t.Fatalf("HTTP %d", code)
-	}
-	if rich.Result != nil {
-		t.Error("disabled store still embedded a result")
-	}
-}
-
-func TestSampleStoreEviction(t *testing.T) {
-	s := newSampleStore(2, 16)
-	s.start("a")
-	s.start("b")
-	s.start("c") // evicts a
-	if _, ok := s.get("a"); ok {
-		t.Error("oldest run not evicted")
-	}
-	if _, ok := s.get("b"); !ok {
-		t.Error("recent run evicted")
-	}
-	if _, ok := s.get("c"); !ok {
-		t.Error("newest run missing")
-	}
-	if st := newSampleStore(-1, 0); st != nil {
-		t.Error("negative capacity should disable the store")
-	}
-}
-
 // TestSamplesEncodeFailure serves a retained series [80 W, bad, 81 W]
 // whose middle point JSON cannot encode, and requires a 500 rather than
 // a 200 with an empty or gapped body: a page that holds the point fails,
@@ -253,7 +209,7 @@ func TestSamplesEncodeFailure(t *testing.T) {
 			}
 			defer d.Close()
 			const id = "badrun"
-			r := d.samples.start(id)
+			r := d.records.start(id).samples
 			for i, w := range []float64{80, bad, 81} {
 				r.Consume(0, sim.TracePoint{Time: time.Duration(i) * 10 * time.Millisecond, PkgPower: units.Power(w)})
 			}
@@ -327,7 +283,7 @@ func FuzzSamplesQuery(f *testing.F) {
 	}
 	f.Cleanup(func() { d.Close() })
 	const id = "fuzzrun"
-	r := d.samples.start(id)
+	r := d.records.start(id).samples
 	for socket, n := range []int{100, 37} {
 		for i := 0; i < n; i++ {
 			r.Consume(socket, sim.TracePoint{

@@ -196,10 +196,6 @@ func (d *Daemon) handleGetRun(w http.ResponseWriter, r *http.Request) {
 // the wire trace-point vocabulary instead of a paginated envelope.
 func (d *Daemon) handleRunSamples(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !d.SamplesEnabled() {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "sample retention disabled"})
-		return
-	}
 	q := r.URL.Query()
 	socket, err := intParam(q.Get("socket"), 0)
 	if err != nil {
@@ -278,16 +274,12 @@ func intParam(s string, def int) (int, error) {
 	return strconv.Atoi(s)
 }
 
-// handleRunTrace serves a run's span tree from the flight recorder:
-// Chrome trace-event JSON by default (loads in Perfetto), or the
-// compact per-stage summary with ?format=summary.
+// handleRunTrace serves a run's span tree from its record: Chrome
+// trace-event JSON by default (loads in Perfetto), or the compact
+// per-stage summary with ?format=summary.
 func (d *Daemon) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if d.spans == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "span recording disabled"})
-		return
-	}
-	tr, ok := d.spans.Get(id)
+	tr, ok := d.Spans().Get(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "no trace recorded for run"})
 		return

@@ -168,44 +168,6 @@ func TestDaemonSpanTreeAndTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestSpanRecordingDisabled pins the opt-out: negative SpanCapacity
-// restores the untraced dispatch path and turns the trace endpoint
-// into a 404.
-func TestSpanRecordingDisabled(t *testing.T) {
-	cfg := testConfig()
-	cfg.SpanCapacity = -1
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if d.Spans() != nil {
-		t.Fatal("negative SpanCapacity still built a recorder")
-	}
-
-	spec := dufp.RunSpec{App: mustApp(t, "EP"), Governor: dufp.Baseline()}
-	status, err := d.SubmitRun(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final := waitRun(t, d, status.ID); final.State != StateDone {
-		t.Fatalf("final = %+v", final)
-	}
-
-	ts := httptest.NewServer(d.FullHandler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/v1/runs/" + status.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body errorBody
-	json.NewDecoder(resp.Body).Decode(&body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound || !strings.Contains(body.Error, "disabled") {
-		t.Fatalf("disabled trace endpoint: %d %+v", resp.StatusCode, body)
-	}
-}
-
 // TestSlowRunLogAndCounter sets an absurd slow-run budget so every run
 // is over it, and checks that the full span tree reaches the log and
 // the api_slow_runs_total counter moves.
@@ -232,7 +194,7 @@ func TestSlowRunLogAndCounter(t *testing.T) {
 	}
 	waitRun(t, d, status.ID)
 
-	if v := d.mSlowRuns.Value(); v < 1 {
+	if v := d.records.slowRuns.Value(); v < 1 {
 		t.Errorf("api_slow_runs_total = %v, want >= 1", v)
 	}
 	mu.Lock()

@@ -385,11 +385,18 @@ func RunID(id ID) string { return diskcache.RunID(diskcache.Key(id)) }
 // RunID. It answers Run-API queries for results computed by an earlier
 // process; false when no disk cache is attached or the ID is unknown.
 func (e *Executor) DiskGetByID(runID string) (metrics.Run, bool) {
-	if e.disk == nil {
-		return metrics.Run{}, false
-	}
-	_, run, ok := e.disk.GetByID(runID)
+	_, run, ok := e.DiskLookupByID(runID)
 	return run, ok
+}
+
+// DiskLookupByID is DiskGetByID that also returns the run's content
+// address, whose governor ID and run index a run's status reports.
+func (e *Executor) DiskLookupByID(runID string) (ID, metrics.Run, bool) {
+	if e.disk == nil {
+		return ID{}, metrics.Run{}, false
+	}
+	key, run, ok := e.disk.GetByID(runID)
+	return ID(key), run, ok
 }
 
 // Submit schedules the key and returns its run. Submissions of a key

@@ -256,7 +256,7 @@ func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, "") }
 
 // Exemplar links one observed sample to the identity that produced it
 // — for this harness, a run ID — so a hot latency bucket names a
-// concrete run whose span tree can be pulled from the flight recorder.
+// concrete run whose span tree can be pulled from dufpd's run records.
 type Exemplar struct {
 	// ID is the traced identity of the sample (a run ID).
 	ID string `json:"id"`

@@ -13,12 +13,13 @@
 // the executor shards, the disk cache and into the simulator loop
 // without any global state.
 //
-// Finished traces are retained in a bounded Recorder ring and exported
-// two ways: Chrome trace-event JSON loadable in Perfetto (export.go)
-// and a compact per-stage Summary that crosses the wire inside
-// RunResult. A Summary reports *self* time — each stage's duration
-// minus its children's — so the stage durations of a tree sum exactly
-// to the root's wall clock by construction.
+// Finished traces are exported two ways: Chrome trace-event JSON
+// loadable in Perfetto (export.go) and a compact per-stage Summary that
+// crosses the wire inside RunResult. A Summary reports *self* time —
+// each stage's duration minus its children's — so the stage durations
+// of a tree sum exactly to the root's wall clock by construction. dufpd
+// keeps each recent run's trace in its bounded store of run records
+// (internal/api).
 package span
 
 import (
@@ -117,14 +118,6 @@ func New(runID string) *Trace {
 	t.spans = append(t.spans, Span{Name: RootStage, Parent: -1, Start: 0, End: -1})
 	t.stack = append(t.stack, 0)
 	return t
-}
-
-// RunID returns the run identity the trace was created under.
-func (t *Trace) RunID() string {
-	if t == nil {
-		return ""
-	}
-	return t.runID
 }
 
 // Now returns the current offset from the trace epoch (0 on nil).
@@ -436,102 +429,4 @@ func FromContext(ctx context.Context) *Trace {
 	}
 	t, _ := ctx.Value(ctxKey{}).(*Trace)
 	return t
-}
-
-// DefaultCapacity bounds a Recorder when the configured capacity is 0.
-const DefaultCapacity = 256
-
-// Recorder retains finished traces in a bounded ring keyed by run ID
-// (oldest evicted) and maintains the slow-run log: traces whose total
-// exceeds the threshold are rendered through logf. A nil Recorder
-// drops everything.
-type Recorder struct {
-	mu       sync.Mutex
-	capacity int
-	slow     time.Duration
-	logf     func(format string, args ...any)
-
-	traces map[string]*Trace
-	order  []string
-}
-
-// RecorderOption configures NewRecorder.
-type RecorderOption func(*Recorder)
-
-// WithSlowThreshold enables the slow-run log: any observed trace whose
-// total exceeds d is rendered through logf. d <= 0 or a nil logf
-// disables it.
-func WithSlowThreshold(d time.Duration, logf func(format string, args ...any)) RecorderOption {
-	return func(r *Recorder) {
-		r.slow, r.logf = d, logf
-	}
-}
-
-// NewRecorder returns a ring of the given capacity (0 means
-// DefaultCapacity).
-func NewRecorder(capacity int, opts ...RecorderOption) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	r := &Recorder{
-		capacity: capacity,
-		traces:   make(map[string]*Trace, capacity),
-	}
-	for _, opt := range opts {
-		opt(r)
-	}
-	return r
-}
-
-// Observe finishes the trace if needed and retains it, evicting the
-// oldest entry past capacity. Re-observing a run ID replaces its
-// trace.
-func (r *Recorder) Observe(t *Trace) {
-	if r == nil || t == nil {
-		return
-	}
-	t.Finish()
-	id := t.RunID()
-	r.mu.Lock()
-	if _, ok := r.traces[id]; !ok {
-		r.order = append(r.order, id)
-		for len(r.order) > r.capacity {
-			delete(r.traces, r.order[0])
-			r.order = r.order[1:]
-		}
-	}
-	r.traces[id] = t
-	slow := r.slow > 0 && r.logf != nil && t.Total() > r.slow
-	logf := r.logf
-	r.mu.Unlock()
-	if slow {
-		logf("span: slow run (%v > %v budget)\n%s", t.Total(), r.slow, t.Render())
-	}
-}
-
-// Get returns the retained trace for a run ID.
-func (r *Recorder) Get(id string) (*Trace, bool) {
-	if r == nil {
-		return nil, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.traces[id]
-	return t, ok
-}
-
-// Each calls fn for every retained trace, oldest first.
-func (r *Recorder) Each(fn func(*Trace)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	traces := make([]*Trace, 0, len(r.order))
-	for _, id := range r.order {
-		traces = append(traces, r.traces[id])
-	}
-	r.mu.Unlock()
-	for _, t := range traces {
-		fn(t)
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -70,7 +69,7 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	tr.AddRound(Round{})
 	tr.AddEvent("e", 0, "")
 	tr.Finish()
-	if tr.RunID() != "" || tr.Total() != 0 || tr.Done() || tr.Now() != 0 {
+	if tr.Total() != 0 || tr.Done() || tr.Now() != 0 {
 		t.Error("nil trace accessors should return zeros")
 	}
 	if tr.Spans() != nil || tr.Rounds() != nil || tr.Events() != nil {
@@ -122,41 +121,6 @@ func TestFinishClosesOpenSpans(t *testing.T) {
 	if tr.Total() != total {
 		t.Error("second Finish changed the total")
 	}
-}
-
-func TestRecorderRingAndSlowLog(t *testing.T) {
-	var logged []string
-	rec := NewRecorder(2, WithSlowThreshold(time.Nanosecond, func(format string, args ...any) {
-		logged = append(logged, fmt.Sprintf(format, args...))
-	}))
-	for i := 0; i < 3; i++ {
-		tr := New(fmt.Sprintf("r%d", i))
-		time.Sleep(100 * time.Microsecond)
-		rec.Observe(tr)
-	}
-	if _, ok := rec.Get("r0"); ok {
-		t.Error("oldest trace should have been evicted")
-	}
-	if _, ok := rec.Get("r2"); !ok {
-		t.Error("newest trace missing")
-	}
-	if len(logged) != 3 || !strings.Contains(logged[0], "trace r0") {
-		t.Errorf("slow log = %v", logged)
-	}
-	var ids []string
-	rec.Each(func(tr *Trace) { ids = append(ids, tr.RunID()) })
-	if len(ids) != 2 || ids[0] != "r1" || ids[1] != "r2" {
-		t.Errorf("Each visited %v, want [r1 r2]", ids)
-	}
-}
-
-func TestNilRecorderIsNoOp(t *testing.T) {
-	var rec *Recorder
-	rec.Observe(New("x"))
-	if _, ok := rec.Get("x"); ok {
-		t.Error("nil recorder Get should miss")
-	}
-	rec.Each(func(*Trace) { t.Error("nil recorder Each should not call fn") })
 }
 
 // TestTraceEventFormat validates the export against the Chrome

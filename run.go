@@ -71,9 +71,6 @@ type (
 	// SpanTrace; it is the span artifact that crosses the wire inside
 	// RunResult.
 	SpanSummary = span.Summary
-	// SpanRecorder retains finished span traces in a bounded ring and
-	// maintains the slow-run log.
-	SpanRecorder = span.Recorder
 )
 
 // RunSpec names one run: an application, a governor descriptor, and the
