@@ -11,7 +11,6 @@
 //	dufpbench -fig all -progress       # live scheduler progress on stderr
 //	dufpbench -fig all -stats -        # executor statistics as JSON
 //	dufpbench -faults -apps CG -runs 2 # fault-injection robustness grid
-//	dufpbench -loadgen 32 -apps CG     # benchmark the Run API (BENCH_api.json)
 //
 // -listen serves the campaign over the same surface cmd/dufpd exposes:
 // the /v1 Run API plus /metrics, /metrics.json and /debug/pprof/, from
@@ -60,10 +59,6 @@ func benchMain() int {
 		progress = flag.Bool("progress", false, "print live scheduler progress to stderr")
 		stats    = flag.String("stats", "", "write executor statistics as JSON to this file ('-' for stdout)")
 		listen   = flag.String("listen", "", "serve the Run API and live introspection on this address (/v1, /metrics, /metrics.json, /debug/pprof/), e.g. :8080")
-		loadgen  = flag.Int("loadgen", 0, "benchmark the Run API with this many concurrent clients against an in-process daemon (0: off)")
-		loadDur  = flag.Duration("loadgen-duration", 3*time.Second, "measurement window of the -loadgen benchmark")
-		loadOut  = flag.String("loadgen-out", "BENCH_api.json", "file the -loadgen results are written to")
-		loadWait = flag.Duration("loadgen-queue-wait-budget", 0, "fail the -loadgen benchmark when the daemon's span_queue_wait p99 exceeds this budget (0: report-only)")
 		faults   = flag.Bool("faults", false, "run the fault-injection robustness grid (guarded DUFP under each fault level) instead of a figure")
 		cacheDir = flag.String("cache-dir", os.Getenv("DUFP_CACHE_DIR"), "persist completed runs under this directory and reuse them across invocations (default: $DUFP_CACHE_DIR)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
@@ -163,9 +158,6 @@ func benchMain() int {
 	}
 
 	err := func() error {
-		if *loadgen > 0 {
-			return runLoadgen(ctx, opts, *loadgen, *loadDur, *loadWait, *loadOut)
-		}
 		if *faults {
 			return runFaults(opts, *md)
 		}

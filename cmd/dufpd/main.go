@@ -77,8 +77,8 @@ func daemonMain() int {
 	session := dufp.NewSession()
 	session.Seed = *seed
 	// -parallel bounds both layers: the executor's concurrent simulations
-	// and (via api.Config.Workers' 2× default) the dispatchers draining
-	// the queue, so widening one widens the whole path.
+	// and, at twice that, the dispatchers draining the queue, so widening
+	// one widens the whole path.
 	daemon, err := api.New(api.Config{
 		Session:               session,
 		Executor:              executor,

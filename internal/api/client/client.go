@@ -1,7 +1,7 @@
 // Package client is the Go client of the dufpd Run API: typed wrappers
 // over the /v1 HTTP surface, with SSE streaming (and polling fallback)
-// for waiting on runs and campaigns. It is what dufpbench -loadgen and
-// the daemon's end-to-end tests drive the API through.
+// for waiting on runs and campaigns. It is what the daemon's end-to-end
+// and load tests drive the API through.
 package client
 
 import (

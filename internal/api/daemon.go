@@ -43,10 +43,6 @@ type Config struct {
 	// full, single-run submissions fail with ErrQueueFull and campaign
 	// feeders block. 0 means 256.
 	QueueDepth int
-	// Workers bounds the dispatcher goroutines feeding the executor;
-	// 0 means twice the executor's worker count (cached runs never hold
-	// an executor slot, so extra dispatchers drain them in parallel).
-	Workers int
 	// DataDir holds the campaign journal (campaigns.jsonl). Empty
 	// disables campaign durability; runs are still durable through the
 	// executor's disk cache.
@@ -169,16 +165,11 @@ func New(cfg Config) (*Daemon, error) {
 	if depth <= 0 {
 		depth = 256
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		// Default to twice the executor's simulation bound: dispatchers
-		// also serve runs that resolve from the memo or disk cache without
-		// ever holding an executor slot, so matching them 1:1 to slots
-		// leaves the queue draining single-file behind cache traffic (the
-		// 32-client loadgen showed 203 ms queue-wait p99 against 13 ms
-		// service). The executor still bounds concurrent simulations.
-		workers = 2 * exe.Workers()
-	}
+	// Dispatchers number twice the executor's workers: with every
+	// executor slot busy, as many more dispatchers hold a dequeued job
+	// that waits for a slot (the trace's wait stage, not its queue
+	// stage). The executor alone bounds concurrent simulations.
+	workers := 2 * exe.Workers()
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}

@@ -118,13 +118,16 @@ func TestSubmitRunRejectsAnonymousGovernor(t *testing.T) {
 func TestQueueBackpressure(t *testing.T) {
 	cfg := testConfig()
 	cfg.Session.ExactPhysics = true // slow the runs so the queue can fill
+	cfg.Executor = dufp.NewExecutor(dufp.ExecWorkers(1))
 	cfg.QueueDepth = 1
-	cfg.Workers = 1
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	if got := d.Workers(); got != 2 {
+		t.Fatalf("dispatch width %d on a 1-worker executor, want 2", got)
+	}
 
 	app := mustApp(t, "EP")
 	var full bool

@@ -71,14 +71,15 @@ func TestRecordStoreEviction(t *testing.T) {
 	}
 }
 
-// TestRecordEvictionDuringDispatch runs a store of one record under four
-// dispatchers, so records are evicted while their runs still stream
-// into them, and reads traces and samples all the while; the race
-// detector (make tier1-api) checks the store against the dispatches.
+// TestRecordEvictionDuringDispatch runs a store of one record under the
+// four dispatchers of a two-worker executor, so records are evicted
+// while their runs still stream into them, and reads traces and samples
+// all the while; the race detector (make tier1-api) checks the store
+// against the dispatches.
 func TestRecordEvictionDuringDispatch(t *testing.T) {
 	cfg := testConfig()
+	cfg.Executor = dufp.NewExecutor(dufp.ExecWorkers(2))
 	cfg.SampleCapacity = 1
-	cfg.Workers = 4
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +140,7 @@ func TestRecordEvictionDuringDispatch(t *testing.T) {
 // its job and cached result, not by the span trace or reservoir of a
 // record the store has evicted.
 func TestDispatchedRunHeapGrowth(t *testing.T) {
-	if raceEnabled {
+	if RaceEnabled {
 		t.Skip("heap counts under the race detector")
 	}
 	cfg := testConfig()

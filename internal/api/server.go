@@ -18,8 +18,8 @@ import (
 // FullHandler returns the daemon's one HTTP surface: the /v1 Run API
 // and, over the daemon's registry, /metrics (Prometheus text),
 // /metrics.json and /debug/pprof/. It is what cmd/dufpd listens on and
-// what dufpbench -listen and -loadgen serve. The /v1 routes are
-// method-scoped (Go 1.22 patterns) and instrumented: every request
+// what dufpbench -listen serves. The /v1 routes are method-scoped (Go
+// 1.22 patterns) and instrumented: every request
 // increments api_http_requests_total{route,code} and observes
 // api_http_request_seconds{route}. Any other path answers 404 with a
 // JSON error body, like every /v1 error.

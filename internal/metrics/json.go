@@ -51,11 +51,28 @@ func (r Run) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON decodes the canonical wire schema, rejecting unknown
 // fields.
 func (r *Run) UnmarshalJSON(b []byte) error {
-	var in runJSON
-	if err := strictUnmarshal(b, &in); err != nil {
-		return fmt.Errorf("metrics: decoding run: %w", err)
+	run, err := DecodeRun(b, true)
+	if err != nil {
+		return err
 	}
-	*r = Run{
+	*r = run
+	return nil
+}
+
+// DecodeRun decodes the canonical wire schema; strict rejects unknown
+// fields. A run nested in a wire envelope of a newer minor revision
+// decodes with strict false, so it ignores the fields this build
+// predates.
+func DecodeRun(b []byte, strict bool) (Run, error) {
+	decode := json.Unmarshal
+	if strict {
+		decode = strictUnmarshal
+	}
+	var in runJSON
+	if err := decode(b, &in); err != nil {
+		return Run{}, fmt.Errorf("metrics: decoding run: %w", err)
+	}
+	return Run{
 		App:          in.App,
 		Governor:     in.Governor,
 		Slowdown:     in.Slowdown,
@@ -66,8 +83,7 @@ func (r *Run) UnmarshalJSON(b []byte) error {
 		AvgDramPower: units.Power(in.AvgDramPowerW),
 		AvgCoreFreq:  units.Frequency(in.AvgCoreFreqHz),
 		AvgUncore:    units.Frequency(in.AvgUncoreFreqHz),
-	}
-	return nil
+	}, nil
 }
 
 // statJSON is the wire form of Stat.

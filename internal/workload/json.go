@@ -107,18 +107,28 @@ func (a App) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON decodes and validates the canonical schema, rejecting
 // unknown fields.
 func (a *App) UnmarshalJSON(b []byte) error {
-	var in appJSON
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
-		return fmt.Errorf("workload: decoding application: %w", err)
-	}
-	decoded, err := fromJSON(in)
+	decoded, err := DecodeApp(b, true)
 	if err != nil {
 		return err
 	}
 	*a = decoded
 	return nil
+}
+
+// DecodeApp decodes and validates the canonical schema; strict rejects
+// unknown fields. An application inline in a wire envelope of a newer
+// minor revision decodes with strict false, so it ignores the fields
+// this build predates.
+func DecodeApp(b []byte, strict bool) (App, error) {
+	var in appJSON
+	dec := json.NewDecoder(bytes.NewReader(b))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	if err := dec.Decode(&in); err != nil {
+		return App{}, fmt.Errorf("workload: decoding application: %w", err)
+	}
+	return fromJSON(in)
 }
 
 // WriteJSON serialises the application, indented for hand editing.

@@ -21,7 +21,9 @@ package dufp
 //     "minor". Decoders reject unknown fields from peers at or below
 //     their own minor (typos still fail loudly) but ignore them from a
 //     newer minor, so old builds read new results minus the fields they
-//     predate. v1.1 added the optional trace_summary artifact.
+//     predate. The envelope's strictness reaches its nested values,
+//     including those with codecs of their own: the run, the governor
+//     and an inline app. v1.1 added the optional trace_summary artifact.
 //   - Quantities carry their unit in the name (watts, hertz, joules,
 //     nanoseconds). Floats round-trip bit-exactly: encoding/json emits
 //     the shortest representation that parses back to the identical
@@ -34,8 +36,10 @@ import (
 	"time"
 
 	"dufp/internal/control"
+	"dufp/internal/metrics"
 	"dufp/internal/trace"
 	"dufp/internal/units"
+	"dufp/internal/workload"
 )
 
 // WireVersion is the version tag of the canonical JSON schema. Envelope
@@ -59,25 +63,21 @@ type wireEnvelope struct {
 // decodeVersioned decodes a versioned envelope: strictly (unknown fields
 // rejected) when the peer's minor revision is at or below this build's,
 // leniently when a newer minor may have added fields this build
-// predates.
-func decodeVersioned(b []byte, v any, what string) error {
+// predates. It reports which, so the caller decodes the envelope's raw
+// nested values the same way.
+func decodeVersioned(b []byte, v any, what string) (strict bool, err error) {
 	var env wireEnvelope
 	if err := json.Unmarshal(b, &env); err != nil {
-		return fmt.Errorf("dufp: decoding %s: %w", what, err)
+		return false, fmt.Errorf("dufp: decoding %s: %w", what, err)
 	}
 	if env.V != WireVersion {
-		return fmt.Errorf("dufp: %s wire version %d, this build speaks %d", what, env.V, WireVersion)
+		return false, fmt.Errorf("dufp: %s wire version %d, this build speaks %d", what, env.V, WireVersion)
 	}
-	if env.Minor > WireMinor {
-		if err := json.Unmarshal(b, v); err != nil {
-			return fmt.Errorf("dufp: decoding %s: %w", what, err)
-		}
-		return nil
+	strict = env.Minor <= WireMinor
+	if err := decodeJSON(b, v, strict); err != nil {
+		return false, fmt.Errorf("dufp: decoding %s: %w", what, err)
 	}
-	if err := decodeStrict(b, v); err != nil {
-		return fmt.Errorf("dufp: decoding %s: %w", what, err)
-	}
-	return nil
+	return strict, nil
 }
 
 // Governor wire kinds, the declarative names of the canonical
@@ -231,10 +231,14 @@ func (g Governor) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON rebuilds a Governor through its canonical constructor,
 // so the decoded governor's content-addressed identity matches the
-// encoder's exactly.
-func (g *Governor) UnmarshalJSON(b []byte) error {
+// encoder's exactly. Unknown fields are rejected.
+func (g *Governor) UnmarshalJSON(b []byte) error { return g.decode(b, true) }
+
+// decode is UnmarshalJSON with the strictness of the envelope the
+// governor is nested in.
+func (g *Governor) decode(b []byte, strict bool) error {
 	var in governorJSON
-	if err := decodeStrict(b, &in); err != nil {
+	if err := decodeJSON(b, &in, strict); err != nil {
 		return fmt.Errorf("dufp: decoding governor: %w", err)
 	}
 	cfg := func() (ControlConfig, error) {
@@ -290,12 +294,14 @@ func (g *Governor) UnmarshalJSON(b []byte) error {
 }
 
 // runSpecJSON is the wire form of RunSpec. App is raw because it accepts
-// either a suite name ("CG") or a full inline application definition.
+// either a suite name ("CG") or a full inline application definition;
+// it and Governor are raw so that they decode with the envelope's
+// strictness.
 type runSpecJSON struct {
 	V        int             `json:"v"`
 	Minor    int             `json:"minor,omitempty"`
 	App      json.RawMessage `json:"app"`
-	Governor Governor        `json:"governor"`
+	Governor json.RawMessage `json:"governor"`
 	Idx      int             `json:"idx,omitempty"`
 }
 
@@ -306,7 +312,11 @@ func (s RunSpec) MarshalJSON() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(runSpecJSON{V: WireVersion, App: app, Governor: s.Governor, Idx: s.Idx})
+	gov, err := json.Marshal(s.Governor)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(runSpecJSON{V: WireVersion, App: app, Governor: gov, Idx: s.Idx})
 }
 
 // UnmarshalJSON decodes a versioned spec. The app may be a suite name
@@ -315,7 +325,8 @@ func (s RunSpec) MarshalJSON() ([]byte, error) {
 // of version 1 are ignored).
 func (s *RunSpec) UnmarshalJSON(b []byte) error {
 	var in runSpecJSON
-	if err := decodeVersioned(b, &in, "run spec"); err != nil {
+	strict, err := decodeVersioned(b, &in, "run spec")
+	if err != nil {
 		return err
 	}
 	if len(in.App) == 0 {
@@ -327,15 +338,19 @@ func (s *RunSpec) UnmarshalJSON(b []byte) error {
 		if err := json.Unmarshal(in.App, &name); err != nil {
 			return fmt.Errorf("dufp: decoding run spec app name: %w", err)
 		}
-		named, err := AppNamed(name)
-		if err != nil {
+		if app, err = AppNamed(name); err != nil {
 			return err
 		}
-		app = named
-	} else if err := json.Unmarshal(in.App, &app); err != nil {
+	} else if app, err = workload.DecodeApp(in.App, strict); err != nil {
 		return fmt.Errorf("dufp: decoding run spec app: %w", err)
 	}
-	*s = RunSpec{App: app, Governor: in.Governor, Idx: in.Idx}
+	var gov Governor
+	if len(in.Governor) > 0 {
+		if err := gov.decode(in.Governor, strict); err != nil {
+			return fmt.Errorf("dufp: decoding run spec: %w", err)
+		}
+	}
+	*s = RunSpec{App: app, Governor: gov, Idx: in.Idx}
 	return nil
 }
 
@@ -484,11 +499,12 @@ func summaryFromJSON(in traceSummaryJSON) TraceSummary {
 }
 
 // runResultJSON is the wire form of RunResult: the measurements plus
-// whichever sideband artifacts the run produced.
+// whichever sideband artifacts the run produced. Run is raw so that it
+// decodes with the envelope's strictness.
 type runResultJSON struct {
-	V     int `json:"v"`
-	Minor int `json:"minor,omitempty"`
-	Run   Run `json:"run"`
+	V     int             `json:"v"`
+	Minor int             `json:"minor,omitempty"`
+	Run   json.RawMessage `json:"run"`
 	// TraceSummary is the streaming trace aggregate (wire v1.1).
 	TraceSummary *traceSummaryJSON  `json:"trace_summary,omitempty"`
 	Events       []controlEventJSON `json:"events,omitempty"`
@@ -509,7 +525,11 @@ type runResultJSON struct {
 // fields the run did not request are omitted; results using post-1.0
 // fields also carry the minor revision tag.
 func (r RunResult) MarshalJSON() ([]byte, error) {
-	out := runResultJSON{V: WireVersion, Run: r.Run}
+	run, err := json.Marshal(r.Run)
+	if err != nil {
+		return nil, err
+	}
+	out := runResultJSON{V: WireVersion, Run: run}
 	if r.TraceSummary != nil {
 		out.Minor = WireMinor
 		sj := summaryToJSON(*r.TraceSummary)
@@ -560,10 +580,16 @@ func (r RunResult) MarshalJSON() ([]byte, error) {
 // minor revision of version 1 are ignored.
 func (r *RunResult) UnmarshalJSON(b []byte) error {
 	var in runResultJSON
-	if err := decodeVersioned(b, &in, "run result"); err != nil {
+	strict, err := decodeVersioned(b, &in, "run result")
+	if err != nil {
 		return err
 	}
-	out := RunResult{Run: in.Run}
+	var out RunResult
+	if len(in.Run) > 0 {
+		if out.Run, err = metrics.DecodeRun(in.Run, strict); err != nil {
+			return fmt.Errorf("dufp: decoding run result: %w", err)
+		}
+	}
 	if in.TraceSummary != nil {
 		sum := summaryFromJSON(*in.TraceSummary)
 		out.TraceSummary = &sum
@@ -619,9 +645,12 @@ func (r *RunResult) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// decodeStrict unmarshals b into v rejecting unknown fields and
-// trailing garbage.
-func decodeStrict(b []byte, v any) error {
+// decodeJSON unmarshals b into v; strict also rejects unknown fields.
+// Either way, trailing garbage is an error.
+func decodeJSON(b []byte, v any, strict bool) error {
+	if !strict {
+		return json.Unmarshal(b, v)
+	}
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

@@ -399,3 +399,149 @@ func TestWireMinorRevision(t *testing.T) {
 		t.Error("foreign wire version decoded without error")
 	}
 }
+
+// nestedRun and nestedGov are what the rows of wireNestedCases that
+// decode must decode to.
+var (
+	nestedRun = dufp.Run{App: "EP", Governor: "DUFP", Slowdown: 0.1, Time: time.Second,
+		PkgEnergy: 1.5, AvgCoreFreq: 2.3e9}
+	nestedGov = dufp.DUFP(dufp.DefaultControlConfig(0.1))
+)
+
+// wireNestedCase is one envelope with an unknown key in a nested value,
+// decoded into a fresh value of into's type.
+type wireNestedCase struct {
+	name, in string
+	into     func() any
+	ok       bool
+}
+
+// wireNestedCases returns envelopes with an unknown key inside the run,
+// the governor, an inline app and the plain nested values, at minors 0,
+// 1 and 2, plus a bare run.
+func wireNestedCases(tb testing.TB) []wireNestedCase {
+	app, err := dufp.AppNamed("EP")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	appJSON, err := json.Marshal(app)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	runJSON, err := json.Marshal(nestedRun)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bogus := func(obj []byte) string { return `{"bogus":1,` + string(obj[1:]) }
+	result := func(minor, run string) string {
+		return `{"v":1` + minor + `,"run":` + run + `}`
+	}
+	spec := func(minor, app, gov string) string {
+		return `{"v":1` + minor + `,"app":` + app + `,"governor":` + gov + `}`
+	}
+	govJSON := `{"kind":"dufp","slowdown":0.1}`
+	govBogus := `{"kind":"dufp","slowdown":0.1,"bogus":1}`
+	newResult := func() any { return new(dufp.RunResult) }
+	newSpec := func() any { return new(dufp.RunSpec) }
+	return []wireNestedCase{
+		{"result minor 0, run", result("", bogus(runJSON)), newResult, false},
+		{"result minor 1, run", result(`,"minor":1`, bogus(runJSON)), newResult, false},
+		{"result minor 2, run", result(`,"minor":2`, bogus(runJSON)), newResult, true},
+		{"result minor 2, events, trace_summary, spans",
+			`{"v":1,"minor":2,"run":` + string(runJSON) +
+				`,"events":[{"time_ns":1,"kind":"cap-lower","cap_w":100,"uncore_hz":2e9,"bogus":1}]` +
+				`,"trace_summary":{"points":[1],"avg_core_hz":[2e9],"avg_pkg_w":[100],"bogus":1}` +
+				`,"spans":{"total_ns":5,"bogus":1}}`, newResult, true},
+		{"spec minor 0, governor", spec("", `"EP"`, govBogus), newSpec, false},
+		{"spec minor 1, governor", spec(`,"minor":1`, `"EP"`, govBogus), newSpec, false},
+		{"spec minor 2, governor", spec(`,"minor":2`, `"EP"`, govBogus), newSpec, true},
+		{"spec minor 0, inline app", spec("", bogus(appJSON), govJSON), newSpec, false},
+		{"spec minor 1, inline app", spec(`,"minor":1`, bogus(appJSON), govJSON), newSpec, false},
+		{"spec minor 2, inline app", spec(`,"minor":2`, bogus(appJSON), govJSON), newSpec, true},
+		{"bare run", bogus(runJSON), func() any { return new(dufp.Run) }, false},
+	}
+}
+
+// TestWireNestedUnknownKeys pins how far an envelope's strictness
+// reaches: an unknown key inside the run, the governor or an inline app
+// is rejected at or below this build's minor and ignored from a newer
+// minor, like one at the envelope's top level. A bare run has no
+// envelope and stays strict.
+func TestWireNestedUnknownKeys(t *testing.T) {
+	for _, tc := range wireNestedCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			into := tc.into()
+			err := json.Unmarshal([]byte(tc.in), into)
+			if tc.ok != (err == nil) {
+				t.Fatalf("decode error %v, want ok=%v for\n%s", err, tc.ok, tc.in)
+			}
+			if !tc.ok {
+				return
+			}
+			switch v := into.(type) {
+			case *dufp.RunResult:
+				if v.Run != nestedRun {
+					t.Errorf("run decoded as %+v, want %+v", v.Run, nestedRun)
+				}
+			case *dufp.RunSpec:
+				if v.App.Name != "EP" || v.Governor.ID() != nestedGov.ID() {
+					t.Errorf("spec decoded as app %q governor %q, want EP and %q", v.App.Name, v.Governor.ID(), nestedGov.ID())
+				}
+			}
+		})
+	}
+}
+
+// twoSocketResult is a small recorded result in wire form: two sockets'
+// series, events, both counter sets, a trace summary and a span summary.
+const twoSocketResult = `{"v":1,"minor":1,` +
+	`"run":{"app":"CG","governor":"DUFP","slowdown":0.1,"time_ns":61000000000,"pkg_energy_j":9876.5,"dram_energy_j":1234.25,"avg_pkg_power_w":161.9,"avg_dram_power_w":20.2,"avg_core_freq_hz":2300000000,"avg_uncore_freq_hz":1900000000},` +
+	`"trace_summary":{"points":[2,1],"avg_core_hz":[2300000000,2200000000],"avg_pkg_w":[161.9,150.5]},` +
+	`"events":[{"time_ns":200000000,"kind":"phase-change","cap_w":0,"uncore_hz":2400000000},{"time_ns":400000000,"kind":"cap-lower","cap_w":120,"uncore_hz":2400000000},{"time_ns":600000000,"kind":"uncore-lower","cap_w":120,"uncore_hz":2300000000}],` +
+	`"trace":[[{"time_ns":0,"core_hz":2300000000,"uncore_hz":2400000000,"pkg_w":160,"dram_w":20,"cap_pl1_w":125,"cap_pl2_w":150,"bw_bps":1e10,"flops":2e10},` +
+	`{"time_ns":100000000,"core_hz":2300000000,"uncore_hz":2300000000,"pkg_w":163.8,"dram_w":20.4,"cap_pl1_w":120,"cap_pl2_w":150,"bw_bps":1.1e10,"flops":2.1e10}],` +
+	`[{"time_ns":0,"core_hz":2200000000,"uncore_hz":2400000000,"pkg_w":150.5,"dram_w":19,"cap_pl1_w":125,"cap_pl2_w":150,"bw_bps":9e9,"flops":1.9e10}]],` +
+	`"fault_stats":{"read_failures":1,"stuck_reads":2,"dropped_samples":3,"noisy_reads":4,"delayed_cap_writes":5},` +
+	`"guard_stats":{"retries":1,"failures":2,"stale_fallbacks":3,"rejected":4,"degraded_entries":5,"recoveries":6,"held_rounds":7},` +
+	`"spans":{"run_id":"r1","total_ns":12000000,"stages":[{"stage":"setup","ns":2000000,"count":1},{"stage":"sim","ns":10000000,"count":1}],"rounds":3,"round_ns":300000}}`
+
+// FuzzRunResultDecode feeds arbitrary bytes to RunResult's wire decoder.
+// It never panics, and a result that decodes re-encodes to bytes that
+// decode and re-encode to themselves exactly.
+func FuzzRunResultDecode(f *testing.F) {
+	var seed dufp.RunResult
+	if err := seed.UnmarshalJSON([]byte(twoSocketResult)); err != nil || seed.Trace.Sockets() != 2 {
+		f.Fatalf("two-socket seed: %v", err)
+	}
+	f.Add([]byte(twoSocketResult))
+	for _, tc := range wireNestedCases(f) {
+		f.Add([]byte(tc.in))
+	}
+	for _, in := range []string{
+		`null`, `-0`, `5e-324`,
+		`{"v":1,"run":{"app":"","governor":"","slowdown":-0,"time_ns":0,"pkg_energy_j":5e-324,"dram_energy_j":0,"avg_pkg_power_w":0,"avg_dram_power_w":0,"avg_core_freq_hz":0,"avg_uncore_freq_hz":0}}`,
+	} {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r dufp.RunResult
+		if r.UnmarshalJSON(data) != nil {
+			return
+		}
+		b1, err := json.Marshal(r)
+		if err != nil {
+			t.Fatalf("decoded result does not encode: %v", err)
+		}
+		var again dufp.RunResult
+		if err := json.Unmarshal(b1, &again); err != nil {
+			t.Fatalf("re-encoded result does not decode: %v\n%s", err, b1)
+		}
+		b2, err := json.Marshal(again)
+		if err != nil {
+			t.Fatalf("second encode: %v", err)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("round trip differs:\n%s\n%s", b1, b2)
+		}
+	})
+}
