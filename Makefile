@@ -47,8 +47,13 @@ test:
 short:
 	$(GO) test -short ./...
 
+# race runs the suite under the race detector, then repeats the
+# executor's stress test: the window between a submission's first memo
+# lookup and its in-flight install, across the disk read between them,
+# is hit only occasionally, so one pass rarely reaches it.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -run '^TestSubmitStress$$' -count=20 ./internal/exec/
 
 # vet also covers the benchmark module (trafficbench/ is a module of its
 # own, so ./... stops at its boundary) and fails on any tracked Go file

@@ -39,10 +39,16 @@ func (e *APIError) IsRetryable() bool {
 type Client struct {
 	// BaseURL is the daemon's root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// HTTP is the underlying client; nil means a default with sane
-	// timeouts for the non-streaming calls.
+	// HTTP is the underlying client; nil means defaultHTTP, whose
+	// whole-request timeout bounds the non-streaming calls. The SSE waits
+	// use only its transport and are bounded by their context alone.
 	HTTP *http.Client
 }
+
+// defaultHTTP serves a Client whose HTTP is nil. Its timeout bounds a
+// call whose context has no deadline, so a daemon that accepts the
+// connection and never answers fails the call instead of hanging it.
+var defaultHTTP = &http.Client{Timeout: 30 * time.Second}
 
 // New returns a client for the daemon at baseURL.
 func New(baseURL string) *Client {
@@ -53,7 +59,7 @@ func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
 	}
-	return http.DefaultClient
+	return defaultHTTP
 }
 
 // maxBody caps how much of a response body the client reads.

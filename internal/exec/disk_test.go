@@ -112,12 +112,23 @@ func TestDiskCacheSecondTier(t *testing.T) {
 		t.Fatalf("observed %d EventDiskHit events, want 4", diskEvents.Load())
 	}
 
-	// Third submit of a warm key hits the in-memory LRU, not disk again.
+	// A repeat of a disk-served key is served by the disk tier again: a
+	// disk hit is not copied into the LRU.
 	if _, err := e2.Submit(ctx, testKey(0)); err != nil {
 		t.Fatal(err)
 	}
-	if st := e2.Stats(); st.CacheHits != 1 || st.DiskHits != 4 {
-		t.Fatalf("stats = %+v, want the repeat served by the memory tier", st)
+	if st := e2.Stats(); st.CacheHits != 0 || st.DiskHits != 5 || st.Started != 0 {
+		t.Fatalf("stats = %+v, want the repeat served by the disk tier", st)
+	}
+
+	// A run this executor computed still repeats from the LRU.
+	for range 2 {
+		if _, err := e2.Submit(ctx, testKey(len(fresh))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e2.Stats(); st.Started != 1 || st.CacheHits != 1 || st.DiskHits != 5 {
+		t.Fatalf("stats = %+v, want the computed run executed once and repeated from the LRU", st)
 	}
 }
 

@@ -28,9 +28,11 @@
 //
 // Writes are write-behind: Put updates the in-memory index immediately
 // and queues the record for a background writer; Close drains the queue,
-// flushes and fsyncs. The queue holds only pending records, at most
-// maxPending of them. Floats travel as raw IEEE 754 bits, so a
-// disk-served run is bit-identical to a fresh one.
+// flushes, and fsyncs the segment when the handle wrote records to it. A
+// handle that wrote none removes its segment without an fsync, so a
+// read-only replay pays no disk flush. The queue holds only pending
+// records, at most maxPending of them. Floats travel as raw IEEE 754
+// bits, so a disk-served run is bit-identical to a fresh one.
 package diskcache
 
 import (
@@ -417,8 +419,10 @@ func encodeFrameBody(b []byte, key Key, run metrics.Run) []byte {
 	return wirebin.AppendRun(b, run)
 }
 
-// Close drains the write-behind queue, flushes and fsyncs the segment
-// file. The cache remains readable (memory-only) afterwards.
+// Close drains the write-behind queue, flushes the segment file and
+// fsyncs it when this handle wrote records to it. A segment that holds
+// no record is removed instead, without the fsync. The cache remains
+// readable (memory-only) afterwards.
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -432,17 +436,20 @@ func (c *Cache) Close() error {
 	}
 	close(c.done)
 	c.wg.Wait()
+	wrote := c.written.Load() > 0
 	var firstErr error
 	if err := c.w.Flush(); err != nil {
 		firstErr = err
 	}
-	if err := c.f.Sync(); err != nil && firstErr == nil {
-		firstErr = err
+	if wrote {
+		if err := c.f.Sync(); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	if err := c.f.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	if c.written.Load() == 0 && firstErr == nil {
+	if !wrote && firstErr == nil {
 		// Nothing persisted: drop the empty segment so read-mostly
 		// invocations do not litter the directory.
 		os.Remove(c.f.Name())

@@ -12,8 +12,10 @@ import (
 )
 
 // maxReader bounds the read buffer of one segment scan; a smaller
-// segment gets a buffer of its own size.
-const maxReader = 256 << 10
+// segment gets a buffer of its own size. Every handle's Open allocates
+// one, and a warm replay opens a handle, so it is kept small: a read
+// syscall per 32 KiB is noise beside decoding the records it brings.
+const maxReader = 32 << 10
 
 // segScanner is the read-path state for binary v3 segments, reused
 // across every file in a directory: one frame buffer grown to the

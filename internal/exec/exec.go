@@ -6,7 +6,8 @@
 // One mutex guards the in-flight map and the memo LRU; the statistics
 // are plain atomics. An optional persistent second tier (see the
 // diskcache sub-package) survives the process: memo misses consult it
-// before executing, and completed runs are written behind.
+// outside the mutex before executing, a run it holds is served from it
+// as read, and completed runs are written behind.
 //
 // Every harness entry point — the Session facade, the experiment grid and
 // sweeps, and the CLIs — submits work here, so two tables requesting the
@@ -84,7 +85,8 @@ const (
 	// EventCoalesced fires when a submission joins an in-flight run.
 	EventCoalesced
 	// EventDiskHit fires when a submission is served from the persistent
-	// disk cache (and promoted into the LRU).
+	// disk cache. The run is not copied into the LRU, so every repeat of
+	// a disk-served key is a disk hit again.
 	EventDiskHit
 	// EventDiskDegraded fires once at construction when the configured
 	// disk cache could not be opened for writing and the executor
@@ -331,9 +333,11 @@ func New(run Runner, opts ...Option) *Executor {
 	return e
 }
 
-// Close flushes and fsyncs the persistent cache tier, if any. The
-// executor itself holds no other resources; submitting after Close is
-// allowed but no longer persists results.
+// Close flushes and fsyncs the runs this executor wrote to the
+// persistent cache tier, if any; a tier it wrote nothing to removes its
+// empty segment without an fsync. The executor itself holds no other
+// resources; submitting after Close is allowed but no longer persists
+// results.
 func (e *Executor) Close() error {
 	if e.disk != nil {
 		return e.disk.Close()
@@ -399,12 +403,14 @@ func (e *Executor) DiskLookupByID(runID string) (ID, metrics.Run, bool) {
 	return ID(key), run, ok
 }
 
-// Submit schedules the key and returns its run. Submissions of a key
-// already in flight join it instead of re-executing (and then observe the
-// leader's outcome, including its cancellation); completed runs are served
-// from the LRU, then from the persistent disk cache when one is attached.
-// Cancelling ctx while queued or while this submission leads the
-// execution returns ctx.Err() promptly.
+// Submit schedules the key and returns its run. Completed runs are
+// served from the LRU; submissions of a key already in flight join it
+// instead of re-executing (and then observe the leader's outcome,
+// including its cancellation); a run the persistent disk cache holds,
+// when one is attached, is served from it as read, without a copy into
+// the LRU. Only a key no tier holds executes. Cancelling ctx while
+// queued or while this submission leads the execution returns ctx.Err()
+// promptly.
 func (e *Executor) Submit(ctx context.Context, key Key) (metrics.Run, error) {
 	return e.submit(ctx, key, false)
 }
@@ -422,8 +428,13 @@ func (e *Executor) SubmitFresh(ctx context.Context, key Key) (metrics.Run, error
 }
 
 // submit is the one submission body behind Submit and SubmitFresh. A
-// fresh submission skips the read side — the LRU, the in-flight map and
-// the disk tier — so it never installs an in-flight entry, and its cache
+// non-fresh submission reads the LRU and the in-flight map under the
+// lock, then the disk tier outside it; a disk hit touches no executor
+// state but the counters, so the LRU holds only runs this executor
+// computed or wrote through. Only a miss in every tier re-takes the
+// lock, looks again and installs the in-flight entry it leads. A fresh
+// submission skips the read side — the LRU, the in-flight map and the
+// disk tier — so it never installs an in-flight entry, and its cache
 // stage is the LRU write-through after the run instead of the lookups
 // before it.
 func (e *Executor) submit(ctx context.Context, key Key, fresh bool) (metrics.Run, error) {
@@ -432,21 +443,38 @@ func (e *Executor) submit(ctx context.Context, key Key, fresh bool) (metrics.Run
 	e.cnt.submitted.Add(1)
 	e.metrics.submitted.Inc()
 	var c *call
-	var cacheSpan span.Handle
 	if !fresh {
-		cacheSpan = tr.Start(span.StageCache)
+		cacheSpan := tr.Start(span.StageCache)
 		e.mu.Lock()
-		if run, ok := e.cache.get(id); ok {
+		run, hit, leader := e.lookup(id)
+		if !hit && leader == nil && e.disk != nil {
 			e.mu.Unlock()
-			cacheSpan.End()
+			if run, ok := e.disk.Get(diskcache.Key(id)); ok {
+				cacheSpan.End()
+				e.cnt.diskHits.Add(1)
+				e.metrics.diskHits.Inc()
+				e.emit(Event{Kind: EventDiskHit, Key: key, QueueDepth: int(e.queued.Load())})
+				return run, nil
+			}
+			e.metrics.diskMisses.Inc()
+			// While the lock was released, another submission may have
+			// settled the key or installed its in-flight entry.
+			e.mu.Lock()
+			run, hit, leader = e.lookup(id)
+		}
+		if !hit && leader == nil {
+			c = &call{done: make(chan struct{})}
+			e.inflight[id] = c
+		}
+		e.mu.Unlock()
+		cacheSpan.End()
+		switch {
+		case hit:
 			e.cnt.cacheHits.Add(1)
 			e.metrics.cacheHits.Inc()
 			e.emit(Event{Kind: EventCached, Key: key, QueueDepth: int(e.queued.Load())})
 			return run, nil
-		}
-		if leader, ok := e.inflight[id]; ok {
-			e.mu.Unlock()
-			cacheSpan.End()
+		case leader != nil:
 			e.cnt.coalesced.Add(1)
 			e.metrics.coalesced.Inc()
 			e.emit(Event{Kind: EventCoalesced, Key: key, QueueDepth: int(e.queued.Load())})
@@ -459,24 +487,8 @@ func (e *Executor) submit(ctx context.Context, key Key, fresh bool) (metrics.Run
 				return metrics.Run{}, ctx.Err()
 			}
 		}
-		c = &call{done: make(chan struct{})}
-		e.inflight[id] = c
-		e.mu.Unlock()
 	}
 	e.metrics.queueDepth.Set(float64(e.queued.Add(1)))
-	if !fresh && e.disk != nil {
-		if run, ok := e.disk.Get(diskcache.Key(id)); ok {
-			cacheSpan.End()
-			e.cnt.diskHits.Add(1)
-			e.metrics.diskHits.Inc()
-			e.settle(id, c, run, nil)
-			e.emit(Event{Kind: EventDiskHit, Key: key, QueueDepth: int(e.queued.Load())})
-			return run, nil
-		}
-		e.metrics.diskMisses.Inc()
-	}
-	cacheSpan.End()
-
 	e.cnt.started.Add(1)
 	e.metrics.started.Inc()
 	run, err := e.execute(ctx, key)
@@ -494,10 +506,20 @@ func (e *Executor) submit(ctx context.Context, key Key, fresh bool) (metrics.Run
 	return run, err
 }
 
-// settle retires a submission that executed or was served from disk: a
-// successful run enters the LRU, and the in-flight entry c, when the
-// submission installed one, is removed and its followers released with
-// the outcome.
+// lookup reads the in-memory side of the key's resolution; the caller
+// holds e.mu. It returns the LRU's run for id, or else the in-flight
+// call a submission of id joins, nil when there is none.
+func (e *Executor) lookup(id ID) (run metrics.Run, hit bool, leader *call) {
+	if run, hit = e.cache.get(id); hit {
+		return run, true, nil
+	}
+	return run, false, e.inflight[id]
+}
+
+// settle retires a submission that executed: a successful run enters
+// the LRU, and the in-flight entry c, when the submission installed one
+// (a fresh submission installs none), is removed and its followers
+// released with the outcome.
 func (e *Executor) settle(id ID, c *call, run metrics.Run, err error) {
 	e.mu.Lock()
 	if c != nil {
@@ -574,7 +596,8 @@ type Outcome struct {
 
 // SubmitAll submits every key of the batch, at most Workers() at a time,
 // and returns the outcomes indexed like keys. Duplicate keys resolve
-// like any concurrent Submit, through the in-flight entry or the LRU.
+// like any concurrent Submit: through the in-flight entry or the LRU, or
+// from the disk tier again when it served the first.
 // Cancelling ctx resolves the remaining submissions with ctx.Err().
 func (e *Executor) SubmitAll(ctx context.Context, keys []Key) []Outcome {
 	out := make([]Outcome, len(keys))

@@ -512,3 +512,37 @@ func TestNewAllocatesLittle(t *testing.T) {
 		})
 	}
 }
+
+// TestDiskHitAllocatesNothing pins that a disk hit is served as read:
+// no in-flight entry, no channel and no copy into the LRU, whose arena
+// and index would otherwise grow with every run a replay reads. Like
+// TestNewAllocatesLittle, it counts allocations, so it does not depend
+// on the host's speed.
+func TestDiskHitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap counts under the race detector")
+	}
+	dir := t.TempDir()
+	ctx := context.Background()
+	run := countRunner(new(atomic.Int64))
+	cold := New(run, WithDiskCache(dir, "v1"))
+	if _, err := cold.Submit(ctx, testKey(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e := New(run, WithDiskCache(dir, "v1"))
+	defer e.Close()
+	var err error
+	if allocs := testing.AllocsPerRun(100, func() { _, err = e.Submit(ctx, testKey(0)) }); allocs != 0 {
+		t.Errorf("a disk hit allocated %v times, want 0", allocs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.DiskHits != st.Submitted || st.Started != 0 {
+		t.Fatalf("stats = %+v, want every submission served from disk", st)
+	}
+}

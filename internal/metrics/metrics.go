@@ -120,8 +120,9 @@ func Summarize(runs []Run) (Summary, error) {
 		kept = kept[1 : len(kept)-1]
 	}
 
+	// statOf keeps nothing of its input, so one buffer serves every field.
+	vals := make([]float64, len(kept))
 	pick := func(f func(Run) float64) Stat {
-		vals := make([]float64, len(kept))
 		for i, r := range kept {
 			vals[i] = f(r)
 		}

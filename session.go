@@ -354,13 +354,15 @@ func (s Session) SummarizeAll(ctx context.Context, reqs []SummaryRequest, n int)
 		}
 	}
 	outs := s.executor().SubmitAll(ctx, keys)
-	runs := make([]Run, len(keys))
+	// Summarize copies the runs it keeps, so one request's worth of runs
+	// serves every request in turn.
+	runs := make([]Run, n)
 	for r := range out {
-		for i := r * n; i < (r+1)*n && out[r].Err == nil; i++ {
-			runs[i], out[r].Err = outs[i].Run, outs[i].Err
+		for i := 0; i < n && out[r].Err == nil; i++ {
+			runs[i], out[r].Err = outs[r*n+i].Run, outs[r*n+i].Err
 		}
 		if out[r].Err == nil {
-			out[r].Summary, out[r].Err = metrics.Summarize(runs[r*n : (r+1)*n])
+			out[r].Summary, out[r].Err = metrics.Summarize(runs)
 		}
 	}
 	return out
