@@ -72,13 +72,14 @@ vet:
 # reader, the fifth arbitrary query strings to dufpd's
 # /v1/runs/{id}/samples, the sixth arbitrary bytes to wirebin's run
 # decoder, which the segment reader reaches only through CRC-valid
-# frames, and the seventh arbitrary bytes to RunResult's wire JSON
-# decoder, whose decoded results must re-encode to a fixed point. Their
-# seed inputs also run under `make test`. The segment scan's, the
-# codec's, the run decoder's and the result decoder's inputs are whole
-# segments, pages and records, and minimizing each new one for the
-# default 60 s would use up their 15 s, so their minimization stops
-# after 1 s.
+# frames, the seventh arbitrary bytes to RunResult's wire JSON decoder,
+# whose decoded results must re-encode to a fixed point, and the eighth
+# arbitrary bytes to the workload JSON reader, whose accepted apps must
+# write and read back to a fixed point. Their seed inputs also run under
+# `make test`. The segment scan's, the codec's, the run decoder's, the
+# result decoder's and the workload reader's inputs are whole segments,
+# pages, records and apps, and minimizing each new one for the default
+# 60 s would use up their 15 s, so their minimization stops after 1 s.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzJitterRNG$$' -fuzztime 15s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzLimiterKernel$$' -fuzztime 15s ./internal/rapl/
@@ -87,6 +88,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSamplesCodec$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/api/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRun$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/wirebin/
 	$(GO) test -run '^$$' -fuzz '^FuzzRunResultDecode$$' -fuzztime 15s -fuzzminimizetime 1s .
+	$(GO) test -run '^$$' -fuzz '^FuzzAppJSON$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/workload/
 
 # cover enforces a floor on the telemetry layer's test coverage
 # (internal/obs: the registry, the span traces and the timeline join):
@@ -95,18 +97,23 @@ fuzz:
 COVER_PKGS = ./internal/obs/...
 COVER_MIN  = 85.0
 
-# bench refreshes the benchmark trajectory: the simulator microbenchmarks
-# plus the simbench report (ns per simulated second, allocs/tick, Fig-3
-# grid wall time) written to BENCH_sim.json and compared against the
-# committed baseline. The comparison is report-only; regressions show up
-# in the delta column, they do not fail the build.
+# bench runs the simulator's microbenchmarks: one reference tick, an
+# ungoverned steady run on the fast and the reference loop, and a
+# governed run without and with the span recorder, each in ns per
+# simulated second. Five counts show the spread of one invocation;
+# compare two commits with interleaved runs on one host, never against
+# an old number. The campaign end to end is trafficbench's
+# (BENCHMARK.json), and the three gates below are simbench's.
 bench:
-	$(GO) test -run xxx -bench 'StepPhysics|RunUngoverned|RunGoverned' -benchmem ./internal/sim/
-	$(GO) run ./cmd/simbench -out BENCH_sim.json -compare reports/bench_baseline.json
+	$(GO) test -run xxx -bench 'StepPhysics|RunUngoverned|RunGoverned' -benchmem -count 5 ./internal/sim/
 
-# The three gate targets below write their reports to untracked files
-# (BENCH_mem.json, BENCH_cache.json, BENCH_fleet.json), so a gate run
-# leaves the committed BENCH_sim.json trajectory as it was.
+# bench-smoke is the CI variant: one short count of the same benchmarks.
+bench-smoke:
+	$(GO) test -run xxx -bench 'StepPhysics|RunUngoverned|RunGoverned' -benchtime 0.2s -benchmem ./internal/sim/
+
+# Each gate target below runs one simbench mode: it measures one
+# trajectory, writes it to an untracked file and enforces that mode's
+# gate against the committed baseline.
 
 # bench-mem measures the streaming pipeline's memory trajectory — the
 # live heap retained by a fully streamed traced run at 1×/10×/100× the
@@ -115,19 +122,14 @@ bench:
 # (slice accumulation creeping back onto the streaming path) or a
 # regression past the committed baseline's headroom fails the build.
 bench-mem:
-	$(GO) run ./cmd/simbench -mem-only -out BENCH_mem.json -gate reports/bench_baseline.json
+	$(GO) run ./cmd/simbench -gate reports/bench_baseline.json mem
 
 # bench-cache measures the disk cache's codec throughput — cold-write
 # and warm-read runs/s of the binary v3 segment format over a synthetic
 # campaign — writes it to BENCH_cache.json and GATES the warm-read rate:
 # a fall past the committed baseline's headroom fails the build.
 bench-cache:
-	$(GO) run ./cmd/simbench -cache-only -out BENCH_cache.json -gate-cache reports/bench_baseline.json
-
-# bench-smoke is the CI variant: reduced grid, same artifact.
-bench-smoke:
-	$(GO) test -run xxx -bench 'StepPhysics|RunUngoverned|RunGoverned' -benchtime 0.2s -benchmem ./internal/sim/
-	$(GO) run ./cmd/simbench -short -out BENCH_sim.json -compare reports/bench_baseline.json
+	$(GO) run ./cmd/simbench -gate reports/bench_baseline.json cache
 
 # bench-scaling exercises the concurrency surface and GATES it: the
 # scheduler's per-Submit overhead across -cpu values, then the
@@ -140,7 +142,7 @@ bench-smoke:
 # not need cores.
 bench-scaling:
 	$(GO) test -run xxx -bench 'SubmitDistinct|SubmitCached|SubmitAll' -cpu 1,4,16 -benchmem ./internal/exec/
-	$(GO) run ./cmd/simbench -fleet-grid -out BENCH_fleet.json -gate-scaling reports/bench_baseline.json
+	$(GO) run ./cmd/simbench -gate reports/bench_baseline.json fleet
 
 # bench-traffic-selftest runs the traffic benchmark's own tests. The
 # benchmark (trafficbench/, see BENCHMARK.json) is a module of its own,

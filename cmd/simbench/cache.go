@@ -14,11 +14,12 @@ import (
 
 // Disk-cache codec trajectory: the binary v3 segment format exists so a
 // warm campaign replay spends its time on lookups, not on decoding.
-// bench-cache writes a synthetic campaign through the real write-behind
-// path (cold-write throughput), then times the full directory scan a
-// fresh process performs at Open (warm-read throughput, in runs/s and
-// segment MB/s). The read rate is gated: -gate-cache fails the build
-// when it falls past the committed baseline's headroom.
+// The cache mode writes a synthetic campaign through the real
+// write-behind path (cold-write throughput), then times the full
+// directory scan a fresh process performs at Open (warm-read
+// throughput, in runs/s and segment MB/s). The read rate is gated: the
+// cache gate fails the build when it falls past the committed
+// baseline's headroom.
 
 // cacheBenchRecords sizes the synthetic campaign; shortened in -short
 // CI runs.
@@ -180,5 +181,7 @@ func gateCache(baselinePath string, cur report) error {
 		return fmt.Errorf("disk_cache_read_runs_per_s %.0f fell below %.0f (baseline %.0f / %.1f headroom)",
 			cur.DiskCacheReadRunsPerS, floor, base.DiskCacheReadRunsPerS, cacheReadHeadroom)
 	}
+	fmt.Printf("cache gate ok: %.0f runs/s warm read (%.1f MB/s)\n",
+		cur.DiskCacheReadRunsPerS, cur.DiskCacheReadMBPerS)
 	return nil
 }

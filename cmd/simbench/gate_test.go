@@ -81,3 +81,67 @@ func TestScalingGateNeedsFleetMeasurement(t *testing.T) {
 		t.Fatal("gate passed a report with no fleet-grid measurement")
 	}
 }
+
+func memReport(x1, x100, rss float64) report {
+	return report{RunPeakAllocBytes1x: x1, RunPeakAllocBytes10x: x100, RunPeakAllocBytes100x: x100, CampaignPeakRSSBytes: rss}
+}
+
+func TestMemGateEnforcesBounds(t *testing.T) {
+	base := writeBaseline(t, report{RunPeakAllocBytes100x: 4 << 20, CampaignPeakRSSBytes: 60e6})
+	tests := []struct {
+		name string
+		cur  report
+		want string // "" passes, else a substring of the error
+	}{
+		{"healthy", memReport(600, 728, 50e6), ""},
+		{"100x at the flatness bound", memReport(2<<20, 1.25*(2<<20)+1<<20, 50e6), ""},
+		{"100x past the flatness bound", memReport(2<<20, 1.25*(2<<20)+1<<20+1, 50e6), "no longer O(1)"},
+		{"100x at 2x baseline", memReport(7<<20, 8<<20, 50e6), ""},
+		{"100x past 2x baseline", memReport(7<<20, 8<<20+1, 50e6), "regressed past 2.0× baseline"},
+		{"rss at 1.5x baseline", memReport(600, 728, 90e6), ""},
+		{"rss past 1.5x baseline", memReport(600, 728, 90e6+1), "campaign_peak_rss_bytes"},
+	}
+	for _, tc := range tests {
+		err := gateMem(base, tc.cur)
+		if tc.want == "" && err != nil {
+			t.Errorf("%s: gate failed: %v", tc.name, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+
+	// A baseline without memory fields bounds nothing but flatness, which
+	// needs no baseline.
+	empty := writeBaseline(t, report{})
+	if err := gateMem(empty, memReport(7<<20, 8<<20, 1e12)); err != nil {
+		t.Errorf("gate enforced a bound the baseline does not carry: %v", err)
+	}
+	if err := gateMem(empty, memReport(600, 2<<20, 50e6)); err == nil {
+		t.Error("gate skipped the flatness bound for a baseline without memory fields")
+	}
+}
+
+func TestCacheGateEnforcesReadFloor(t *testing.T) {
+	base := writeBaseline(t, report{DiskCacheReadRunsPerS: 800_000})
+	for _, tc := range []struct {
+		rate float64
+		ok   bool
+	}{
+		{1_000_000, true},
+		{400_000, true},
+		{399_999, false},
+		{0, false},
+	} {
+		err := gateCache(base, report{DiskCacheReadRunsPerS: tc.rate})
+		if tc.ok && err != nil {
+			t.Errorf("%.0f runs/s: gate failed: %v", tc.rate, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "disk_cache_read_runs_per_s")) {
+			t.Errorf("%.0f runs/s against an 800k baseline: err = %v", tc.rate, err)
+		}
+	}
+	if err := gateCache(writeBaseline(t, report{}), report{DiskCacheReadRunsPerS: 1}); err != nil {
+		t.Errorf("gate enforced a floor the baseline does not carry: %v", err)
+	}
+}

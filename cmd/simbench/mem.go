@@ -9,20 +9,37 @@ import (
 	"syscall"
 	"time"
 
+	"dufp"
+	"dufp/internal/experiment"
 	"dufp/internal/model"
 	"dufp/internal/sim"
 	"dufp/internal/trace"
+	"dufp/internal/units"
 )
 
 // Memory trajectory: the streaming results pipeline's core claim is that
 // a traced run retains O(1) heap however long it lasts, because samples
-// flow through sinks instead of accumulating in a recorder. bench-mem
+// flow through sinks instead of accumulating in a recorder. The mem mode
 // measures that directly — the live-heap delta of a fully streamed
 // traced run at 1×, 10× and 100× the benchmark phase duration — plus
 // the process's peak RSS after a measurement campaign. The 1×/10×/100×
 // triple is the gate: if someone reintroduces slice accumulation on the
-// streaming path, the 100× figure grows ~100-fold and bench-mem -gate
+// streaming path, the 100× figure grows ~100-fold and the mem gate
 // fails the build.
+
+// steadyShape is the benchmark phase: 2 s at one steady operating
+// point, the shape the internal/sim benchmarks run too.
+func steadyShape() model.PhaseShape {
+	return model.PhaseShape{
+		Name:         "steady",
+		FlopFrac:     0.2,
+		MemFrac:      0.4,
+		ComputeShare: 0.7,
+		Overlap:      0.4,
+		BWUncoreKnee: 2.0 * units.Gigahertz,
+		Duration:     2 * time.Second,
+	}
+}
 
 // memAttempts is how many times each live-heap delta is sampled; the
 // minimum is reported to shed GC noise.
@@ -78,13 +95,20 @@ func streamedRunLiveBytes(scale int) (float64, error) {
 	return best, nil
 }
 
-// campaignPeakRSSBytes runs the short Fig-3 measurement campaign and
-// returns the process's peak resident set afterwards. RSS high water is
-// process-wide, so in a full simbench invocation the figure also covers
-// the preceding benchmarks; the bench-mem entry point measures it on a
-// quiet process.
+// campaignPeakRSSBytes runs the short Fig-3 measurement campaign — CG
+// under baseline, DUF and DUFP at 10 %, one run each — on a fresh
+// executor and returns the process's peak resident set afterwards. RSS
+// high water is process-wide, so the figure covers the streamed runs
+// before it too.
 func campaignPeakRSSBytes() (float64, error) {
-	if _, err := gridWall(true); err != nil {
+	opts := experiment.DefaultOptions()
+	opts.Runs = 1
+	opts.Apps = []string{"CG"}
+	opts.Session.Seed = 42
+	opts.Tolerances = []float64{0.10}
+	opts.Executor = dufp.NewExecutor()
+	defer opts.Executor.Close()
+	if _, err := experiment.RunGrid(opts); err != nil {
 		return 0, err
 	}
 	var ru syscall.Rusage
@@ -150,5 +174,7 @@ func gateMem(baselinePath string, cur report) error {
 		return fmt.Errorf("campaign_peak_rss_bytes %.0f regressed past %.1f× baseline %.0f",
 			cur.CampaignPeakRSSBytes, memRSSHeadroom, base.CampaignPeakRSSBytes)
 	}
+	fmt.Printf("mem gate ok: 1x %.0f B, 10x %.0f B, 100x %.0f B live heap; campaign peak RSS %.0f B\n",
+		cur.RunPeakAllocBytes1x, cur.RunPeakAllocBytes10x, cur.RunPeakAllocBytes100x, cur.CampaignPeakRSSBytes)
 	return nil
 }

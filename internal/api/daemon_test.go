@@ -1,14 +1,19 @@
 package api
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"dufp"
 	"dufp/internal/control"
+	"dufp/internal/workload"
 )
 
 // testConfig returns a daemon config on an isolated executor and
@@ -112,6 +117,46 @@ func TestSubmitRunRejectsAnonymousGovernor(t *testing.T) {
 	_, err = d.SubmitRun(dufp.RunSpec{App: mustApp(t, "EP"), Governor: anon})
 	if !errors.Is(err, ErrNotSerializable) {
 		t.Fatalf("err = %v, want ErrNotSerializable", err)
+	}
+}
+
+// TestSubmitRunRejectsAppPastPhaseBound posts an inline app one phase
+// past workload.MaxPhases: the daemon answers 400 and tracks nothing,
+// and SubmitRun and an in-process Session.Run refuse the spec too.
+func TestSubmitRunRejectsAppPastPhaseBound(t *testing.T) {
+	d, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ph := mustApp(t, "EP").Loops[0].Body[0]
+	ph.Duration = time.Millisecond
+	spec := dufp.RunSpec{
+		App:      dufp.App{Name: "long", Loops: []dufp.Loop{{Body: []dufp.PhaseShape{ph}, Count: workload.MaxPhases + 1}}},
+		Governor: dufp.Baseline(),
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(d.FullHandler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /v1/runs of %d phases answered %d, want 400", workload.MaxPhases+1, resp.StatusCode)
+	}
+	if _, err := d.SubmitRun(spec); err == nil {
+		t.Error("SubmitRun accepted the app")
+	}
+	if runs := d.Runs(); len(runs) != 0 {
+		t.Errorf("daemon tracks %d runs, want none", len(runs))
+	}
+	if _, err := dufp.NewSession(dufp.WithExecutor(dufp.NewExecutor())).Run(context.Background(), spec); err == nil {
+		t.Error("Session.Run accepted the app")
 	}
 }
 

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"dufp/internal/arch"
@@ -76,9 +77,13 @@ func (s PhaseShape) Validate() error {
 		return fmt.Errorf("model: phase %q: UncoreLatSens %v outside [0,1]", s.Name, s.UncoreLatSens)
 	case s.BWCoreExp < 0:
 		return fmt.Errorf("model: phase %q: BWCoreExp must be non-negative", s.Name)
+	case !finite(float64(s.BWUncoreKnee)) || !finite(float64(s.BWCoreKnee)):
+		return fmt.Errorf("model: phase %q: knee frequencies must be finite", s.Name)
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
 
 // OperationalIntensity returns the phase's FLOPS/byte ratio on spec, the
 // quantity DUF/DUFP compute from counters.

@@ -163,6 +163,8 @@ func TestValidateRejectsBadShapes(t *testing.T) {
 		{"latsens above 1", func(s *PhaseShape) { s.UncoreLatSens = 1.5 }},
 		{"negative bw exponent", func(s *PhaseShape) { s.BWCoreExp = -1 }},
 		{"activity extra out of range", func(s *PhaseShape) { s.ActivityExtra = 0.9 }},
+		{"infinite uncore knee", func(s *PhaseShape) { s.BWUncoreKnee = units.Frequency(math.Inf(1)) }},
+		{"NaN core knee", func(s *PhaseShape) { s.BWCoreKnee = units.Frequency(math.NaN()) }},
 	}
 	spec := arch.XeonGold6130()
 	for _, tc := range cases {

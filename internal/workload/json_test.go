@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -98,4 +99,50 @@ func TestReadJSONNeverPanicsOnGarbage(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzAppJSON feeds arbitrary bytes to ReadJSON: it never panics, and
+// an app it accepts is written by WriteJSON, whose bytes read and write
+// back to themselves. One round trip may move a GHz knee by one ulp
+// (GHz to Hz and back), so the fixed point is checked from the first
+// write on.
+func FuzzAppJSON(f *testing.F) {
+	for _, app := range Suite() {
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, app); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	phase := `{"name":"p","flop_frac":0.1,"mem_frac":0.5,"compute_share":0.6,"overlap":0.4,%s"duration":"750ms"}`
+	for _, seed := range []string{
+		`{"name":"knee","loops":[{"count":1,"body":[` + fmt.Sprintf(phase, `"bw_uncore_knee_ghz":1e300,`) + `]}]}`,
+		`{"name":"zero","loops":[{"count":0,"body":[` + fmt.Sprintf(phase, "") + `]}]}`,
+		`{"name":"negative","loops":[{"count":-3,"body":[` + fmt.Sprintf(phase, "") + `]}]}`,
+		`null`,
+		`{}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		app, err := ReadJSON(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var b1 bytes.Buffer
+		if err := WriteJSON(&b1, app); err != nil {
+			t.Fatalf("ReadJSON accepted an app WriteJSON cannot write: %v", err)
+		}
+		back, err := ReadJSON(bytes.NewReader(b1.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadJSON rejects WriteJSON's bytes: %v\n%s", err, b1.Bytes())
+		}
+		var b2 bytes.Buffer
+		if err := WriteJSON(&b2, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+			t.Fatalf("write(read(b1)) != b1:\n%s\n%s", b1.Bytes(), b2.Bytes())
+		}
+	})
 }

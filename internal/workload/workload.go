@@ -122,7 +122,14 @@ func (a App) NominalDuration() time.Duration {
 	return d
 }
 
-// Validate checks every phase shape in the program.
+// MaxPhases bounds the number of phases an application unrolls to. The
+// suite's programs unroll to 16–70 phases; without a bound, a loop count
+// in a few bytes of JSON would have Unroll and Machine.Load allocate
+// without limit.
+const MaxPhases = 10_000
+
+// Validate checks every phase shape in the program and that it unrolls
+// to at most MaxPhases phases.
 func (a App) Validate() error {
 	if a.Name == "" {
 		return fmt.Errorf("workload: app has no name")
@@ -130,10 +137,17 @@ func (a App) Validate() error {
 	if len(a.Loops) == 0 {
 		return fmt.Errorf("workload: app %s has no phases", a.Name)
 	}
+	phases := 0
 	for i, l := range a.Loops {
 		if len(l.Body) == 0 {
 			return fmt.Errorf("workload: app %s loop %d is empty", a.Name, i)
 		}
+		count := max(l.Count, 1) // as Unroll counts it
+		// Comparing with the room left keeps the sum from overflowing.
+		if count > (MaxPhases-phases)/len(l.Body) {
+			return fmt.Errorf("workload: app %s unrolls to more than %d phases", a.Name, MaxPhases)
+		}
+		phases += count * len(l.Body)
 		for _, ph := range l.Body {
 			if err := ph.Validate(); err != nil {
 				return fmt.Errorf("workload: app %s: %w", a.Name, err)

@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -187,6 +190,50 @@ func TestValidateCatchesEmptyApps(t *testing.T) {
 	bad := App{Name: "X", Loops: []Loop{{Count: 1, Body: []model.PhaseShape{{Name: "p"}}}}}
 	if err := bad.Validate(); err == nil {
 		t.Error("app with invalid phase validated")
+	}
+}
+
+// TestValidateBoundsUnrolledPhases pins MaxPhases on every path that
+// validates an app: Validate itself, ReadJSON and DecodeApp. Nothing here
+// unrolls.
+func TestValidateBoundsUnrolledPhases(t *testing.T) {
+	ph := CG().Loops[0].Body[0]
+	pair := []model.PhaseShape{ph, ph}
+	app := func(loops ...Loop) App { return App{Name: "bound", Loops: loops} }
+	tests := []struct {
+		name string
+		app  App
+		ok   bool
+	}{
+		{"at the bound", app(Loop{Body: pair, Count: MaxPhases / 2}), true},
+		{"at the bound, loops below one count once", app(Loop{Body: pair, Count: MaxPhases/2 - 1}, Loop{Body: pair[:1]}, Loop{Body: pair[:1], Count: -3}), true},
+		{"one past the bound", app(Loop{Body: pair, Count: MaxPhases / 2}, Loop{Body: pair[:1], Count: 1}), false},
+		{"one past, a loop below one counts once", app(Loop{Body: pair, Count: MaxPhases / 2}, Loop{Body: pair[:1], Count: -3}), false},
+		{"1<<62 iterations", app(Loop{Body: pair, Count: 1 << 62}), false},
+		{"1<<62 iterations after a full loop", app(Loop{Body: pair, Count: MaxPhases/2 - 1}, Loop{Body: pair, Count: 1 << 62}), false},
+	}
+	bound := fmt.Sprintf("more than %d phases", MaxPhases)
+	for _, tc := range tests {
+		doc, err := tc.app.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, readErr := ReadJSON(bytes.NewReader(doc))
+		_, decodeErr := DecodeApp(doc, false)
+		for path, err := range map[string]error{"Validate": tc.app.Validate(), "ReadJSON": readErr, "DecodeApp": decodeErr} {
+			if tc.ok && err != nil {
+				t.Errorf("%s: %s rejected it: %v", tc.name, path, err)
+			}
+			if !tc.ok && (err == nil || !strings.Contains(err.Error(), bound)) {
+				t.Errorf("%s: %s: err = %v, want the phase bound", tc.name, path, err)
+			}
+		}
+	}
+
+	// Rejecting 1<<62 iterations costs the error's few allocations.
+	huge := app(Loop{Body: pair, Count: 1 << 62})
+	if allocs := testing.AllocsPerRun(10, func() { _ = huge.Validate() }); allocs > 8 {
+		t.Errorf("rejecting 1<<62 iterations allocated %v times", allocs)
 	}
 }
 
